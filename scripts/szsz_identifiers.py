@@ -15,7 +15,7 @@ from boswit.sweep import SweepConfig, default_grid, rows_to_csv, run_szsz
 def main() -> None:
     out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("data")
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = SweepConfig("szsz", tuple(range(1, 9)), grid=default_grid("szsz"), jobs=2)
+    config = SweepConfig("szsz", tuple(range(1, 9)), grid=default_grid("szsz"))
     path = out_dir / "szsz_identifiers.csv"
     path.write_text(rows_to_csv(run_szsz(config)), encoding="utf-8")
     print(f"wrote {path}")

@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--K", dest="k_grid", help="squeezing grid lo:hi:steps (pdc)")
     sweep.add_argument("--out", help="output path (default: stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--allow-large", action="store_true", help="permit N up to 40")
 
@@ -99,7 +98,6 @@ def _cmd_sweep(args) -> int:
         t_over_n=args.t_over_n,
         out=args.out,
         fmt=args.format,
-        seed=args.seed,
         jobs=args.jobs,
         allow_large=args.allow_large,
     )

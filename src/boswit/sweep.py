@@ -91,7 +91,6 @@ class SweepConfig:
     t_over_n: float | None = None    # single point t = value / N per N
     out: str | None = None
     fmt: str = "csv"
-    seed: int = 0
     jobs: int = 1
     allow_large: bool = False
 

@@ -10,6 +10,18 @@ The tensor entries carry the prefactor d / (2(d-1)), which normalizes pure
 product states to unit tensor norm and unit leading singular value.  The
 reported identifiers are the squared tensor norm, its largest singular
 value, and their ratio; each exceeding one certifies entanglement.
+
+Two routes lead to the identifiers:
+
+* ``evaluate`` works from the Schmidt spectrum p of c, from one d x d SVD.
+  Local unitaries rotate the traceless coordinates orthogonally, so every
+  identifier depends on p alone.  In the Schmidt basis the tensor is block
+  diagonal: the (d-1) x (d-1) diagonal-generator block
+  pref W diag(p) W^T, with W the diagonal-generator weights, plus the
+  entries +-2 pref sqrt(p_i p_j), two per pair i < j.
+* ``correlation_tensor`` builds the whole O(d^4) tensor.  It is the
+  independent reference for ``evaluate`` and the input of the round trips
+  and the product-overlap search.
 """
 
 from __future__ import annotations
@@ -145,7 +157,10 @@ def von_neumann_entropy(state: PureBipartiteState) -> float:
     """Entanglement entropy in bits from the Schmidt spectrum of c."""
     _require_normalized(state)
     svals = np.linalg.svd(state.coeff, compute_uv=False)
-    p = svals * svals
+    return _entropy_bits(svals * svals)
+
+
+def _entropy_bits(p: np.ndarray) -> float:
     p = p[p > 1e-15]
     return float(-np.sum(p * np.log2(p)) + 0.0)   # +0.0 clears IEEE -0.0
 
@@ -173,18 +188,46 @@ def spin_criterion(tprime: np.ndarray) -> tuple:
     return norm, top, norm / top
 
 
-def evaluate(state: PureBipartiteState, basis: HermitianBasis | None = None) -> CriterionReport:
-    """Evaluate every identifier on one state.
+def _diagonal_weights(d: int) -> np.ndarray:
+    """Diagonals of the d-1 diagonal generators, row k-1 for level k:
+    sqrt(2/(k(k+1))) on levels below k and -k sqrt(2/(k(k+1))) on level k."""
+    k = np.arange(1, d)
+    steps = np.tri(d - 1, d) - k[:, None] * np.eye(d - 1, d, 1)
+    return np.sqrt(2.0 / (k * (k + 1.0)))[:, None] * steps
+
+
+def evaluate(state: PureBipartiteState) -> CriterionReport:
+    """Evaluate every identifier on one state, from its Schmidt spectrum.
+
+    With Schmidt coefficients s and p = s^2, the tensor's singular values
+    are 2 pref s_i s_j (i < j, each twice) and the eigenvalues of the
+    positive semidefinite diagonal-generator block.  The block's nonzero
+    eigenvalues are those of 2 pref (diag(p) - sqrt(p) sqrt(p)^T / d), whose
+    largest Rayleigh quotient on the span of the two top Schmidt levels is
+    at least 2 pref s_1 s_2, with equality only at p_1 = p_2; so the block's
+    top eigenvalue is t_max.  Both sides share one spectrum, so their Bloch
+    lengths agree.
 
     A state whose spin correlations all vanish exactly gets zero spin
     identifiers (the three-operator criterion detects nothing there).
     """
-    tensor = correlation_tensor(state, basis)
-    tn = tensor_norm(tensor)
-    tm = t_max(tensor)
+    _require_normalized(state)
+    d = state.d
+    pref = d / (2.0 * (d - 1.0))
+    s = np.linalg.svd(state.coeff, compute_uv=False)
+    p = s * s
+    w = _diagonal_weights(d)
+    block = pref * (w * p) @ w.T
+    # The pair entries add 2 (2 pref)^2 sum_{i<j} p_i p_j = 4 pref^2 (1 - sum p^2).
+    tn = float(np.sum(block * block)) + 4.0 * pref * pref * (1.0 - float(p @ p))
+    tm = float(np.linalg.eigvalsh(block)[-1])
+    if not tm > 0.0:
+        raise ValueError("degenerate tensor: all joint correlations vanish")
     eps = tn / tm
-    _, bloch_a = bloch_vector(tensor, "A")
-    _, bloch_b = bloch_vector(tensor, "B")
+    # Equals (d sum p^2 - 1)/(d - 1) but cannot come out negative.  Like the
+    # traceless projection, centring on the mean ignores rounding in sum p,
+    # so an equal-weight spectrum gives exactly zero.
+    bloch = d / (d - 1.0) * float(np.sum((p - p.mean()) ** 2))
     tp = spin_tensor(state)
     stn, stm, seps = spin_criterion(tp) if np.any(tp) else (0.0, 0.0, 0.0)
     return CriterionReport(
@@ -193,9 +236,9 @@ def evaluate(state: PureBipartiteState, basis: HermitianBasis | None = None) -> 
         epsilon=eps,
         entangled_by_norm=tn > 1.0 + _FLAG_TOL,
         entangled_by_eps=eps > 1.0 + _FLAG_TOL,
-        bloch_sq_a=bloch_a,
-        bloch_sq_b=bloch_b,
-        entropy=von_neumann_entropy(state),
+        bloch_sq_a=bloch,
+        bloch_sq_b=bloch,
+        entropy=_entropy_bits(p),
         spin_t_norm=stn,
         spin_t_max=stm,
         spin_epsilon=seps,

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boswit.states import (
+    _EXACT_BINOM_LIMIT,
     PdcEnsemble,
+    _binom,
     acstark_state,
     bloch_closed_coefficients,
     bloch_length_closed,
@@ -147,6 +149,17 @@ def test_pdc_weights_sum_to_one(squeezing):
 def test_pdc_truncation_error():
     with pytest.raises(ValueError, match="truncation"):
         PdcEnsemble.build(1.5, n_trunc=5)
+
+
+def test_binom_continuous_across_lgamma_switch():
+    # Rows up to the limit are exact integers; the next row comes from lgamma.
+    for n in (_EXACT_BINOM_LIMIT, _EXACT_BINOM_LIMIT + 1):
+        for k in range(n + 1):
+            assert _binom(n, k) == pytest.approx(math.comb(n, k), rel=1e-12), (n, k)
+    # Pascal's rule joins the last exact row to the first lgamma row.
+    n = _EXACT_BINOM_LIMIT + 1
+    for k in range(1, n):
+        assert _binom(n, k) == pytest.approx(_binom(n - 1, k - 1) + _binom(n - 1, k), rel=1e-12)
 
 
 def test_catalan_values():

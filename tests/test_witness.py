@@ -2,13 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from boswit import oracle
 from boswit.basis import gellmann_basis
-from boswit.states import PureBipartiteState, maximally_entangled, szsz_state
+from boswit.states import (
+    PdcEnsemble,
+    PureBipartiteState,
+    acstark_state,
+    default_photon_outcomes,
+    from_coefficients,
+    maximally_entangled,
+    szsz_state,
+)
+from boswit.sweep import N_HARD_CAP
 from boswit.witness import (
+    _FLAG_TOL,
     CorrelationTensor,
     bloch_vector,
     correlation_tensor,
@@ -58,9 +68,10 @@ def test_n2_quarter_period_point():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_maximally_entangled_identifiers(n):
-    rep = evaluate(maximally_entangled(n))
+    # Every singular value of this tensor equals 1/N, so the top one does too:
+    # the pair entries tie with the diagonal block.
+    rep = _assert_routes_agree(maximally_entangled(n))
     assert rep.epsilon == pytest.approx(n + 2, abs=1e-9)
-    # Every singular value of this tensor equals 1/N, so the top one does too.
     assert rep.t_max == pytest.approx(1.0 / n, abs=1e-12)
     assert rep.t_norm == pytest.approx((n + 2.0) / n, abs=1e-12)
     assert rep.entropy == pytest.approx(math.log2(n + 1), abs=1e-12)
@@ -226,3 +237,118 @@ def test_tensor_entry_and_singular_bounds(seed):
     ten = correlation_tensor(state)
     assert float(np.max(np.abs(ten.t))) <= 1.0 + 1e-9
     assert t_max(ten) <= 1.0 + 1e-9
+
+
+# The Schmidt-spectrum kernel of ``evaluate`` against the O(d^4) tensor route.
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _tensor_route(state) -> dict:
+    """The tensor-derived fields and flags of ``evaluate``, from the full tensor."""
+    ten = correlation_tensor(state)
+    tn, tm = tensor_norm(ten), t_max(ten)
+    return {
+        "t_norm": tn,
+        "t_max": tm,
+        "epsilon": tn / tm,
+        "bloch_sq_a": bloch_vector(ten, "A")[1],
+        "bloch_sq_b": bloch_vector(ten, "B")[1],
+        "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
+        "entangled_by_eps": tn / tm > 1.0 + _FLAG_TOL,
+    }
+
+
+def _assert_routes_agree(state, ref=None):
+    rep = evaluate(state)
+    for key, want in (ref or _tensor_route(state)).items():
+        got = getattr(rep, key)
+        if isinstance(want, bool):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-14), (key, got, want)
+    return rep
+
+
+def _random_unitary(d, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def _state_with_spectrum(p, rng):
+    """The state U diag(sqrt(p)) V^T for random unitaries U and V."""
+    d = len(p)
+    raw = (_random_unitary(d, rng) * np.sqrt(p)) @ _random_unitary(d, rng).T
+    return from_coefficients(d - 1, raw)
+
+
+@given(st.integers(min_value=1, max_value=12), SEEDS)
+def test_routes_agree_on_random_states(n, seed):
+    _assert_routes_agree(oracle.random_pure_state(n, np.random.default_rng(seed)))
+
+
+@given(st.integers(min_value=1, max_value=12), SEEDS)
+def test_routes_agree_on_product_states(n, seed):
+    _assert_routes_agree(oracle.random_product_state(n, np.random.default_rng(seed)))
+
+
+@given(st.integers(min_value=1, max_value=12), SEEDS, st.floats(min_value=-1.0, max_value=1.0))
+def test_routes_agree_at_the_flag_margin(n, seed, decades):
+    # A second Schmidt weight eta lifts t_norm to 1 + 4 d eta / (d-1)^2 at
+    # first order, so this eta puts t_norm - 1 within a decade of the margin,
+    # below it or above it; epsilon - 1 is (d+2)/4 times larger.
+    d = n + 1
+    eta = 10.0**decades * _FLAG_TOL * (d - 1) ** 2 / (4.0 * d)
+    p = np.zeros(d)
+    p[:2] = (1.0 - eta, eta)
+    state = _state_with_spectrum(p, np.random.default_rng(seed))
+    ref = _tensor_route(state)
+    # Inside the routes' rounding of the threshold the last ulp decides a flag.
+    assume(abs(ref["t_norm"] - 1.0 - _FLAG_TOL) > 1e-14)
+    assume(abs(ref["epsilon"] - 1.0 - _FLAG_TOL) > 1e-14)
+    _assert_routes_agree(state, ref)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    SEEDS,
+    st.floats(min_value=-10.0, max_value=-1.0),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_routes_agree_on_near_degenerate_spectra(n, seed, log_delta, sign, tail):
+    # p_1 = p_2 +- delta: the pair entries 2 pref s_1 s_2 come within
+    # O(delta^2) of the diagonal block's top eigenvalue and tie at delta = 0.
+    rng = np.random.default_rng(seed)
+    p = np.concatenate([[1.0 + sign * 10.0**log_delta, 1.0], tail * rng.random(n - 1)])
+    p /= p.sum()
+    rep = _assert_routes_agree(_state_with_spectrum(p, rng))
+    d = n + 1
+    s = np.sort(np.sqrt(p))[::-1]
+    assert d / (d - 1.0) * s[0] * s[1] <= rep.t_max * (1.0 + 1e-14)
+
+
+def test_routes_agree_on_acstark_at_the_hard_cap():
+    n = N_HARD_CAP
+    outcome = acstark_state(n, 2.5 / n, *default_photon_outcomes(n))
+    _assert_routes_agree(outcome.state)
+
+
+def test_product_states_pinned_up_to_the_hard_cap():
+    rng = np.random.default_rng(40)
+    for n in range(1, N_HARD_CAP + 1):
+        rep = evaluate(oracle.random_product_state(n, rng))
+        assert rep.t_norm == pytest.approx(1.0, abs=1e-12), n
+        assert rep.t_max == pytest.approx(1.0, abs=1e-12), n
+        assert not rep.entangled_by_norm and not rep.entangled_by_eps, n
+
+
+def test_maxent_epsilon_computed_over_the_pdc_truncation():
+    # pdc_epsilon_average takes eps_N = N + 2 for every N up to its
+    # truncation; compute each one and rebuild its series from them.
+    n_trunc, squeezing = 200, 0.8
+    eps = np.array([1.0] + [evaluate(maximally_entangled(n)).epsilon for n in range(1, n_trunc + 1)])
+    np.testing.assert_allclose(eps[1:], np.arange(1, n_trunc + 1) + 2.0, rtol=1e-12)
+    series, _ = oracle.pdc_epsilon_average(squeezing, n_trunc)
+    weights = PdcEnsemble.build(squeezing, n_trunc).weights
+    assert float(weights @ eps) == pytest.approx(series, rel=1e-12)
