@@ -10,7 +10,7 @@ short-time scan to N = 40; either way the script takes under a second on
 import pathlib
 import sys
 
-from boswit.sweep import SweepConfig, default_grid, rows_to_csv, run_acstark
+from boswit.sweep import SweepConfig, rows_to_csv, run_family
 
 
 def main() -> None:
@@ -19,15 +19,15 @@ def main() -> None:
     out_dir = pathlib.Path(args[0]) if args else pathlib.Path("data")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sweep = SweepConfig("acstark", tuple(range(2, 8)), grid=default_grid("acstark"))
+    sweep = SweepConfig("acstark", tuple(range(2, 8)))
     path = out_dir / "acstark_time_sweep.csv"
-    path.write_text(rows_to_csv(run_acstark(sweep)), encoding="utf-8")
+    path.write_text(rows_to_csv(run_family(sweep).rows), encoding="utf-8")
     print(f"wrote {path}")
 
     n_top = 40 if full else 20
     short = SweepConfig("acstark", tuple(range(2, n_top + 1)), t_over_n=2.5, allow_large=full)
     path = out_dir / "acstark_short_time.csv"
-    path.write_text(rows_to_csv(run_acstark(short)), encoding="utf-8")
+    path.write_text(rows_to_csv(run_family(short).rows), encoding="utf-8")
     print(f"wrote {path}")
 
 

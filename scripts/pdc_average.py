@@ -9,13 +9,13 @@ import pathlib
 import sys
 from dataclasses import asdict
 
-from boswit.sweep import SweepConfig, default_grid, rows_to_csv, run_pdc
+from boswit.sweep import SweepConfig, rows_to_csv, run_family
 
 
 def main() -> None:
     out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("data")
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_pdc(SweepConfig("pdc", tuple(range(1, 9)), grid=default_grid("pdc")))
+    result = run_family(SweepConfig("pdc", tuple(range(1, 9))))
 
     path = out_dir / "pdc_rows.csv"
     path.write_text(rows_to_csv(result.rows), encoding="utf-8")

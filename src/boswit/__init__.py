@@ -38,12 +38,9 @@ from .states import (
 from .sweep import (
     GridSpec,
     SweepConfig,
+    SweepResult,
     SweepRow,
-    run_acstark,
     run_family,
-    run_maxent,
-    run_pdc,
-    run_szsz,
 )
 from .witness import (
     CorrelationTensor,

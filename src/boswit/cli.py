@@ -13,7 +13,6 @@ from .checks import SELECTORS, run_checks
 from .sweep import (
     FAMILIES,
     GridSpec,
-    PdcSweepResult,
     SweepConfig,
     default_grid,
     default_n_values,
@@ -21,11 +20,6 @@ from .sweep import (
     rows_to_json,
     run_family,
     write_text,
-)
-
-PDC_NOTE = (
-    "eps_avg aggregates describe the whole post-selected ensemble and have "
-    "statistical meaning only; they are not observable in a single run"
 )
 
 
@@ -72,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--K", dest="k_grid", help="squeezing grid lo:hi:steps (pdc)")
     sweep.add_argument("--out", help="output path (default: stdout)")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--allow-large", action="store_true", help="permit N up to 40")
 
     check = sub.add_parser("check", help="run a verification suite")
@@ -85,10 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     if (args.nc is None) != (args.nd is None):
         raise ValueError("--nc and --nd must be given together")
-    grid_text = args.k_grid if (args.family == "pdc" and args.k_grid) else args.grid
+    if args.k_grid is not None and (args.family != "pdc" or args.grid is not None):
+        raise ValueError("--K is the pdc squeezing grid; give it alone, in place of --grid")
+    grid_text = args.k_grid or args.grid
     grid = None
     if grid_text:
-        grid = _parse_grid(grid_text, inclusive=args.family == "pdc")
+        grid = _parse_grid(grid_text, inclusive=default_grid(args.family).inclusive)
     n_values = _parse_n_list(args.n) if args.n else default_n_values(args.family)
     config = SweepConfig(
         family=args.family,
@@ -96,20 +91,14 @@ def _cmd_sweep(args) -> int:
         grid=grid,
         outcomes=(args.nc, args.nd) if args.nc is not None else None,
         t_over_n=args.t_over_n,
-        out=args.out,
-        fmt=args.format,
-        jobs=args.jobs,
         allow_large=args.allow_large,
     )
     result = run_family(config)
-    if isinstance(result, PdcSweepResult):
-        if config.fmt == "json":
-            text = rows_to_json(result.rows, aggregates=result.aggregates, note=PDC_NOTE)
-        else:
-            text = rows_to_csv(result.rows, comment=PDC_NOTE)
+    if args.format == "json":
+        text = rows_to_json(result.rows, aggregates=result.aggregates, note=result.note)
     else:
-        text = rows_to_json(result) if config.fmt == "json" else rows_to_csv(result)
-    write_text(text, config.out)
+        text = rows_to_csv(result.rows, comment=result.note)
+    write_text(text, args.out)
     return 0
 
 

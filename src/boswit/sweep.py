@@ -1,7 +1,7 @@
 """Parameter sweeps over the state families, with deterministic output.
 
-Rows are produced in a fixed (N, parameter) order regardless of the worker
-count, and floats are printed with 12 significant digits, so identical
+``run_family`` is the single entry point.  It evaluates serially in a fixed
+row order, and floats are printed with 12 significant digits, so identical
 configurations yield byte-identical files.
 """
 
@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,18 +23,16 @@ __all__ = [
     "GridSpec",
     "SweepConfig",
     "SweepRow",
+    "SweepResult",
     "PdcAggregate",
-    "PdcSweepResult",
-    "run_szsz",
-    "run_acstark",
-    "run_pdc",
-    "run_maxent",
     "run_family",
     "rows_to_csv",
     "rows_to_json",
     "write_text",
     "default_grid",
     "default_n_values",
+    "FAMILIES",
+    "PDC_NOTE",
     "N_SOFT_CAP",
     "N_HARD_CAP",
     "CSV_COLUMNS",
@@ -58,7 +56,10 @@ CSV_COLUMNS = (
     "weight",
 )
 
-FAMILIES = ("szsz", "acstark", "pdc", "maxent")
+PDC_NOTE = (
+    "eps_avg aggregates describe the whole post-selected ensemble and have "
+    "statistical meaning only; they are not observable in a single run"
+)
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep request."""
+    """One sweep request.  An optional input the family does not read is an
+    error, not ignored."""
 
     family: str
     n_values: tuple
     grid: GridSpec | None = None
     outcomes: tuple | None = None    # (n_c, n_d) override for acstark
-    t_over_n: float | None = None    # single point t = value / N per N
-    out: str | None = None
-    fmt: str = "csv"
-    jobs: int = 1
+    t_over_n: float | None = None    # acstark: single point t = value / N per N
     allow_large: bool = False
 
 
@@ -121,23 +120,123 @@ class PdcAggregate:
 
 
 @dataclass(frozen=True)
-class PdcSweepResult:
+class SweepResult:
+    """Rows of one sweep; ``aggregates`` and ``note`` are set for ``pdc`` only."""
+
     rows: list
-    aggregates: list
+    aggregates: list | None = None
+    note: str | None = None
+
+
+def _grid(config: SweepConfig) -> GridSpec:
+    return config.grid or default_grid(config.family)
+
+
+def _szsz_points(config: SweepConfig, n: int):
+    for tau in _grid(config).points():
+        tau = float(tau)
+        yield tau, witness.evaluate(states.szsz_state(n, tau)), 1.0
+
+
+def _acstark_points(config: SweepConfig, n: int):
+    n_c, n_d = config.outcomes if config.outcomes is not None else states.default_photon_outcomes(n)
+    times = (config.t_over_n / n,) if config.t_over_n is not None else _grid(config).points()
+    for t in times:
+        outcome = states.acstark_state(n, float(t), n_c, n_d)
+        yield float(t), witness.evaluate(outcome.state), outcome.norm_weight
+
+
+def _pdc_points(config: SweepConfig, n: int):
+    # The N-pair component is the same state at every squeezing; only its
+    # post-selection probability changes.
+    report = witness.evaluate(states.maximally_entangled(n))
+    for k in _grid(config).points():
+        k = float(k)
+        yield k, report, states.pdc_weight(n, k)
+
+
+def _maxent_points(config: SweepConfig, n: int):
+    yield 0.0, witness.evaluate(states.maximally_entangled(n)), 1.0
+
+
+def _pdc_aggregates(config: SweepConfig) -> list:
+    """Truncated-series and closed-form identifier means per squeezing.  The
+    mean is a property of the whole post-selected ensemble, not of any single
+    run."""
+    aggregates = []
+    for k in _grid(config).points():
+        k = float(k)
+        series, closed = pdc_epsilon_average(k)
+        ens = states.PdcEnsemble.build(k)
+        aggregates.append(
+            PdcAggregate(
+                squeezing=k,
+                eps_avg_series=series,
+                eps_avg_closed=closed,
+                weight_sum=float(ens.weights.sum()),
+                n_trunc=ens.n_trunc,
+            )
+        )
+    return aggregates
+
+
+@dataclass(frozen=True)
+class _Family:
+    # (config, N) -> (parameter, report, weight) for each of N's points.
+    points: Callable
+    n_values: tuple = tuple(range(1, 9))
+    grid: GridSpec | None = None                    # default parameter grid
+    reads: frozenset = frozenset()                  # optional SweepConfig inputs used
+    param_major: bool = False                       # rows ordered by parameter, then N
+    aggregates: Callable | None = None              # config -> per-parameter aggregates
+    note: str | None = None
+
+
+_HALF_PERIOD = GridSpec(0.0, math.pi / 2.0, 128)
+
+_FAMILIES = {
+    "szsz": _Family(_szsz_points, grid=_HALF_PERIOD, reads=frozenset({"grid"})),
+    "acstark": _Family(
+        _acstark_points, grid=_HALF_PERIOD, reads=frozenset({"grid", "outcomes", "t_over_n"})
+    ),
+    "pdc": _Family(
+        _pdc_points,
+        grid=GridSpec(0.05, 1.5, 30, inclusive=True),
+        reads=frozenset({"grid"}),
+        param_major=True,
+        aggregates=_pdc_aggregates,
+        note=PDC_NOTE,
+    ),
+    "maxent": _Family(_maxent_points, n_values=tuple(range(1, 11))),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}") from None
 
 
 def default_grid(family: str) -> GridSpec:
-    if family in ("szsz", "acstark"):
-        return GridSpec(0.0, math.pi / 2.0, 128)
-    if family == "pdc":
-        return GridSpec(0.05, 1.5, 30, inclusive=True)
-    raise ValueError(f"family {family!r} takes no parameter grid")
+    grid = _family(family).grid
+    if grid is None:
+        raise ValueError(f"family {family!r} takes no parameter grid")
+    return grid
 
 
 def default_n_values(family: str) -> tuple:
-    if family == "maxent":
-        return tuple(range(1, 11))
-    return tuple(range(1, 9))
+    return _family(family).n_values
+
+
+def _check_inputs(config: SweepConfig, family: _Family) -> None:
+    for name in ("grid", "outcomes", "t_over_n"):
+        if getattr(config, name) is not None and name not in family.reads:
+            raise ValueError(f"family {config.family!r} takes no {name}")
+    if config.grid is not None and config.t_over_n is not None:
+        raise ValueError("t_over_n replaces the parameter grid; give one or the other")
 
 
 def _validate_n_values(config: SweepConfig) -> None:
@@ -150,12 +249,6 @@ def _validate_n_values(config: SweepConfig) -> None:
             raise ValueError(
                 f"N={n} exceeds the default cap of {N_SOFT_CAP}; set allow_large to override"
             )
-    if config.allow_large and any(n > N_SOFT_CAP for n in config.n_values):
-        warnings.warn(
-            f"sweeping N > {N_SOFT_CAP} takes minutes per grid; expect long runtimes",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _make_row(family: str, n: int, param: float, rep: witness.CriterionReport, weight: float) -> SweepRow:
@@ -175,102 +268,31 @@ def _make_row(family: str, n: int, param: float, rep: witness.CriterionReport, w
     )
 
 
-def _szsz_task(args) -> SweepRow:
-    n, tau = args
-    rep = witness.evaluate(states.szsz_state(n, tau))
-    return _make_row("szsz", n, tau, rep, 1.0)
+def run_family(config: SweepConfig) -> SweepResult:
+    """Evaluate one sweep serially, for any family.
 
-
-def _acstark_task(args) -> SweepRow:
-    n, t, n_c, n_d = args
-    outcome = states.acstark_state(n, t, n_c, n_d)
-    rep = witness.evaluate(outcome.state)
-    return _make_row("acstark", n, t, rep, outcome.norm_weight)
-
-
-def _maxent_task(n: int) -> SweepRow:
-    rep = witness.evaluate(states.maximally_entangled(n))
-    return _make_row("maxent", n, 0.0, rep, 1.0)
-
-
-def _map_tasks(fn, tasks, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
-def run_szsz(config: SweepConfig) -> list:
-    _validate_n_values(config)
-    grid = config.grid or default_grid("szsz")
-    tasks = [(n, float(tau)) for n in config.n_values for tau in grid.points()]
-    return _map_tasks(_szsz_task, tasks, config.jobs)
-
-
-def run_acstark(config: SweepConfig) -> list:
-    _validate_n_values(config)
-    tasks = []
-    for n in config.n_values:
-        n_c, n_d = config.outcomes if config.outcomes is not None else states.default_photon_outcomes(n)
-        if config.t_over_n is not None:
-            tasks.append((n, config.t_over_n / n, n_c, n_d))
-        else:
-            grid = config.grid or default_grid("acstark")
-            tasks.extend((n, float(t), n_c, n_d) for t in grid.points())
-    return _map_tasks(_acstark_task, tasks, config.jobs)
-
-
-def run_maxent(config: SweepConfig) -> list:
-    _validate_n_values(config)
-    return _map_tasks(_maxent_task, list(config.n_values), config.jobs)
-
-
-def run_pdc(config: SweepConfig) -> PdcSweepResult:
-    """Post-selected squeezed-vacuum sweep.
-
-    Emits one row per (squeezing, pair number) with the post-selection
-    probability in the weight column, plus per-squeezing aggregates holding
-    the truncated-series and closed-form identifier means.  The mean is a
-    property of the whole post-selected ensemble, not of any single run.
+    Rows run over N in the order given and, within each N, over the
+    parameter points in ascending order; ``pdc`` rows are ordered by
+    squeezing first, one row per (squeezing, pair number), with the
+    post-selection probability in the weight column.
     """
+    family = _family(config.family)
+    _check_inputs(config, family)
     _validate_n_values(config)
-    grid = config.grid or default_grid("pdc")
-    reports = {n: witness.evaluate(states.maximally_entangled(n)) for n in config.n_values}
-    rows = []
-    aggregates = []
-    for k in grid.points():
-        k = float(k)
-        series, closed = pdc_epsilon_average(k)
-        ens = states.PdcEnsemble.build(k)
-        aggregates.append(
-            PdcAggregate(
-                squeezing=k,
-                eps_avg_series=series,
-                eps_avg_closed=closed,
-                weight_sum=float(ens.weights.sum()),
-                n_trunc=ens.n_trunc,
-            )
-        )
-        for n in config.n_values:
-            rows.append(_make_row("pdc", n, k, reports[n], states.pdc_weight(n, k)))
-    return PdcSweepResult(rows=rows, aggregates=aggregates)
+    aggregates = family.aggregates(config) if family.aggregates is not None else None
+    rows = [
+        _make_row(config.family, n, param, report, weight)
+        for n in config.n_values
+        for param, report, weight in family.points(config, n)
+    ]
+    if family.param_major:
+        rows.sort(key=lambda row: row.param)  # stable: N order kept per parameter
+    return SweepResult(rows, aggregates, family.note)
 
 
-def run_family(config: SweepConfig):
-    if config.family == "szsz":
-        return run_szsz(config)
-    if config.family == "acstark":
-        return run_acstark(config)
-    if config.family == "pdc":
-        return run_pdc(config)
-    if config.family == "maxent":
-        return run_maxent(config)
-    raise ValueError(f"unknown family {config.family!r}; choose from {FAMILIES}")
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+# One CSV line: family, N, then every float with 12 significant digits.
+_CSV_ROW = ",".join(["%s", "%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 2))
+_csv_fields = operator.attrgetter(*CSV_COLUMNS)
 
 
 def rows_to_csv(rows, comment: str | None = None) -> str:
@@ -279,24 +301,7 @@ def rows_to_csv(rows, comment: str | None = None) -> str:
         lines.append(f"# {comment}")
     lines.append(",".join(CSV_COLUMNS))
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.family,
-                    str(r.n),
-                    _fmt(r.param),
-                    _fmt(r.t_norm),
-                    _fmt(r.t_max),
-                    _fmt(r.epsilon),
-                    _fmt(r.bloch_sq),
-                    _fmt(r.entropy),
-                    _fmt(r.spin_t_norm),
-                    _fmt(r.spin_t_max),
-                    _fmt(r.spin_epsilon),
-                    _fmt(r.weight),
-                )
-            )
-        )
+        lines.append(_CSV_ROW % _csv_fields(r))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -53,6 +56,40 @@ def test_invalid_arguments_exit_2(capsys):
     assert main(["sweep", "szsz", "--n", "25", "--grid", "0:0.1:1"]) == 2
     assert main(["sweep", "acstark", "--nc", "1"]) == 2
     assert main(["nosuch-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "szsz", "--t-over-n", "2.5"],
+        ["sweep", "szsz", "--nc", "1", "--nd", "0"],
+        ["sweep", "acstark", "--grid", "0:1:3", "--t-over-n", "2.5"],
+        ["sweep", "maxent", "--grid", "0:1:3"],
+        ["sweep", "maxent", "--K", "0.1:0.2:2"],
+        ["sweep", "pdc", "--grid", "0.1:0.5:3", "--K", "0.1:0.2:2"],
+        ["sweep", "szsz", "--K", "0.1:0.2:2"],
+        ["sweep", "acstark", "--K", "0.1:0.2:2"],
+        ["sweep", "szsz", "--jobs", "2"],
+    ],
+)
+def test_unread_sweep_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, boswit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_io_error_exit_3(tmp_path, capsys):

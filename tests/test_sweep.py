@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,7 @@ from boswit.sweep import (
     default_grid,
     rows_to_csv,
     rows_to_json,
-    run_acstark,
     run_family,
-    run_maxent,
-    run_pdc,
-    run_szsz,
 )
 
 SMALL_GRID = GridSpec(0.0, math.pi / 2, 8)
@@ -33,7 +30,7 @@ def test_grid_spec_points():
 
 
 def test_szsz_rows_ordered_and_consistent():
-    rows = run_szsz(SweepConfig("szsz", (1, 2), grid=SMALL_GRID))
+    rows = run_family(SweepConfig("szsz", (1, 2), grid=SMALL_GRID)).rows
     assert len(rows) == 16
     assert [r.n for r in rows] == [1] * 8 + [2] * 8
     taus = [r.param for r in rows[:8]]
@@ -50,7 +47,7 @@ def test_szsz_rows_ordered_and_consistent():
 
 
 def test_maxent_rows():
-    rows = run_maxent(SweepConfig("maxent", (1, 2, 3)))
+    rows = run_family(SweepConfig("maxent", (1, 2, 3))).rows
     assert [r.n for r in rows] == [1, 2, 3]
     for r in rows:
         assert r.epsilon == pytest.approx(r.n + 2, abs=1e-9)
@@ -58,7 +55,7 @@ def test_maxent_rows():
 
 
 def test_acstark_default_outcomes_and_weight():
-    rows = run_acstark(SweepConfig("acstark", (2,), grid=GridSpec(0.0, 0.4, 4)))
+    rows = run_family(SweepConfig("acstark", (2,), grid=GridSpec(0.0, 0.4, 4))).rows
     assert len(rows) == 4
     assert rows[0].weight == pytest.approx(0.25, rel=1e-12)
     assert rows[0].epsilon == pytest.approx(1.0, abs=1e-10)
@@ -66,19 +63,19 @@ def test_acstark_default_outcomes_and_weight():
 
 
 def test_acstark_t_over_n_mode():
-    rows = run_acstark(SweepConfig("acstark", (2, 4, 5), t_over_n=2.5))
+    rows = run_family(SweepConfig("acstark", (2, 4, 5), t_over_n=2.5)).rows
     assert [r.param for r in rows] == pytest.approx([1.25, 0.625, 0.5])
     assert all(r.epsilon > 1.0 for r in rows)
 
 
 def test_acstark_outcome_override():
-    rows = run_acstark(SweepConfig("acstark", (3,), grid=GridSpec(0.0, 0.4, 2), outcomes=(1, 2)))
+    rows = run_family(SweepConfig("acstark", (3,), grid=GridSpec(0.0, 0.4, 2), outcomes=(1, 2))).rows
     assert len(rows) == 2
 
 
 def test_pdc_result():
     grid = GridSpec(0.1, 0.5, 3, inclusive=True)
-    res = run_pdc(SweepConfig("pdc", (1, 2), grid=grid))
+    res = run_family(SweepConfig("pdc", (1, 2), grid=grid))
     assert len(res.aggregates) == 3
     assert len(res.rows) == 6
     for agg in res.aggregates:
@@ -92,13 +89,14 @@ def test_pdc_result():
 
 def test_n_value_caps():
     with pytest.raises(ValueError, match="cap"):
-        run_szsz(SweepConfig("szsz", (25,), grid=SMALL_GRID))
+        run_family(SweepConfig("szsz", (25,), grid=SMALL_GRID))
     with pytest.raises(ValueError, match="not supported"):
-        run_szsz(SweepConfig("szsz", (41,), grid=SMALL_GRID, allow_large=True))
+        run_family(SweepConfig("szsz", (41,), grid=SMALL_GRID, allow_large=True))
     with pytest.raises(ValueError):
-        run_szsz(SweepConfig("szsz", (0,), grid=SMALL_GRID))
-    with pytest.warns(RuntimeWarning, match="minutes"):
-        rows = run_szsz(SweepConfig("szsz", (21,), grid=GridSpec(0.0, 0.1, 1), allow_large=True))
+        run_family(SweepConfig("szsz", (0,), grid=SMALL_GRID))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_family(SweepConfig("szsz", (21,), grid=GridSpec(0.0, 0.1, 1), allow_large=True)).rows
     assert rows[0].n == 21
 
 
@@ -109,8 +107,8 @@ def test_unknown_family():
 
 def test_csv_shape_and_determinism():
     config = SweepConfig("szsz", (1, 2), grid=SMALL_GRID)
-    text1 = rows_to_csv(run_szsz(config))
-    text2 = rows_to_csv(run_szsz(config))
+    text1 = rows_to_csv(run_family(config).rows)
+    text2 = rows_to_csv(run_family(config).rows)
     assert text1 == text2
     lines = text1.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -125,19 +123,94 @@ def test_csv_shape_and_determinism():
     assert row_tau == "%.12g" % tau
 
 
-def test_parallel_matches_serial():
-    serial = rows_to_csv(run_szsz(SweepConfig("szsz", (1, 2), grid=SMALL_GRID, jobs=1)))
-    parallel = rows_to_csv(run_szsz(SweepConfig("szsz", (1, 2), grid=SMALL_GRID, jobs=2)))
-    assert serial == parallel
+# Literal output of the sweep engine before it became one serial loop; every
+# float here sits away from a 12-digit rounding boundary and from rounding noise.
+PINNED_CSV = {
+    SweepConfig("szsz", (1, 2), grid=GridSpec(0.3, 1.5, 4)): """\
+family,n,param,t_norm,t_max,epsilon,bloch_sq,entropy,spin_t_norm,spin_t_max,spin_epsilon,weight
+szsz,1,0.3,1.63764224552,1,1.63764224552,0.681178877238,0.427501771056,1.63764224552,1,1.63764224552,1
+szsz,1,0.6,2.73739371554,1,2.73739371554,0.131303142229,0.903094862482,2.73739371554,1,2.73739371554,1
+szsz,1,0.9,2.89675841633,1,2.89675841633,0.0516207918329,0.962436302631,2.89675841633,1,2.89675841633,1
+szsz,1,1.2,1.91250101656,1,1.91250101656,0.54374949172,0.561001257214,1.91250101656,1,1.91250101656,1
+szsz,2,0.3,1.58626390631,0.82161160337,1.93067369035,0.413736093689,0.956495750263,0.898353091681,0.681178877238,1.31882112276,1
+szsz,2,0.6,1.86913270555,0.680877924611,2.74518035905,0.130867294447,1.37319561625,0.245365769299,0.337731590276,0.726511159644,1
+szsz,2,0.9,1.81424550394,0.715496227382,2.5356464989,0.185754496063,1.22914717838,0.100576877516,0.221260221647,0.454563756501,1
+szsz,2,1.2,1.7157413773,0.766579548495,2.23817786512,0.284258622704,1.16695420646,0.791835473694,0.54374949172,1.45625050828,1
+""",
+    SweepConfig("acstark", (2, 3), grid=GridSpec(0.2, 0.8, 3)): """\
+family,n,param,t_norm,t_max,epsilon,bloch_sq,entropy,spin_t_norm,spin_t_max,spin_epsilon,weight
+acstark,2,0.2,1.2870266284,0.922188752691,1.39562169312,0.712973371597,0.491285138909,0.831614795508,0.785683033287,1.05846093179,0.154451673984
+acstark,2,0.4,1.74999781916,0.750001090417,2.33332703315,0.250002180839,0.999997902475,0.99829768482,0.99914666157,0.999150298166,0.125000090868
+acstark,2,0.6,1.22163440884,0.941125149804,1.2980573403,0.778365591159,0.403345279299,0.865149945364,0.839337509515,1.03075334482,0.161957938718
+acstark,3,0.2,1.31541060685,0.807276831011,1.62944179285,0.526884089726,0.858211349321,0.641313069073,0.623315396322,1.02887410267,0.0696479247933
+acstark,3,0.4,1.56902002391,0.554293932905,2.8306642573,0.146469964135,1.65387392828,0.500642327427,0.514785740378,0.972525631846,0.0625000000387
+acstark,3,0.6,1.48960454122,0.651801752583,2.2853644307,0.265593188169,1.35315592763,0.705520302753,0.679811401914,1.03781769586,0.0725479301965
+""",
+    SweepConfig("acstark", (2, 3, 5), t_over_n=2.5): """\
+family,n,param,t_norm,t_max,epsilon,bloch_sq,entropy,spin_t_norm,spin_t_max,spin_epsilon,weight
+acstark,2,1.25,1.73082561308,0.759410093731,2.27917119797,0.269174386918,0.981478742971,0.865672606015,0.91362053461,0.947518770891,0.125809311649
+acstark,3,0.833333333333,1.4450924961,0.666204972949,2.16914096229,0.332361255846,1.00894815761,0.980538221439,0.989658437322,0.990784481252,0.118435015405
+acstark,5,0.5,1.2995293408,0.502863044999,2.58426097071,0.251176647997,1.49605657613,0.546909531276,0.633786018793,0.862924575581,0.0117767960357
+""",
+    SweepConfig("pdc", (1, 2), grid=GridSpec(0.1, 0.5, 3, inclusive=True)): """\
+# eps_avg aggregates describe the whole post-selected ensemble and have statistical meaning only; they are not observable in a single run
+family,n,param,t_norm,t_max,epsilon,bloch_sq,entropy,spin_t_norm,spin_t_max,spin_epsilon,weight
+pdc,1,0.1,3,1,3,0,1,3,1,3,0.0194746644836
+pdc,2,0.1,2,0.5,4,0,1.58496250072,1.33333333333,0.666666666667,2,0.000290183479235
+pdc,1,0.3,3,1,3,0,1,3,1,3,0.142141457621
+pdc,2,0.3,2,0.5,4,0,1.58496250072,1.33333333333,0.666666666667,2,0.0180938339162
+pdc,1,0.5,3,1,3,0,1,3,1,3,0.26416416999
+pdc,2,0.5,2,0.5,4,0,1.58496250072,1.33333333333,0.666666666667,2,0.0846192860559
+""",
+    SweepConfig("maxent", (1, 2, 3)): """\
+family,n,param,t_norm,t_max,epsilon,bloch_sq,entropy,spin_t_norm,spin_t_max,spin_epsilon,weight
+maxent,1,0,3,1,3,0,1,3,1,3,1
+maxent,2,0,2,0.5,4,0,1.58496250072,1.33333333333,0.666666666667,2,1
+maxent,3,0,1.66666666667,0.333333333333,5,0,2,0.925925925926,0.555555555556,1.66666666667,1
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "config", PINNED_CSV, ids=["szsz", "acstark-grid", "acstark-t-over-n", "pdc", "maxent"]
+)
+def test_csv_matches_pinned_output(config):
+    result = run_family(config)
+    assert rows_to_csv(result.rows, comment=result.note) == PINNED_CSV[config]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig("szsz", (1,), t_over_n=2.5),
+        SweepConfig("szsz", (1,), outcomes=(1, 0)),
+        SweepConfig("acstark", (2,), grid=SMALL_GRID, t_over_n=2.5),
+        SweepConfig("pdc", (1,), outcomes=(1, 0)),
+        SweepConfig("maxent", (1,), grid=SMALL_GRID),
+        SweepConfig("maxent", (1,), t_over_n=2.5),
+    ],
+)
+def test_unread_inputs_rejected(config):
+    with pytest.raises(ValueError, match="takes no|one or the other"):
+        run_family(config)
+
+
+def test_only_pdc_carries_aggregates_and_note():
+    for family in ("szsz", "acstark", "maxent"):
+        grid = None if family == "maxent" else SMALL_GRID
+        result = run_family(SweepConfig(family, (1,), grid=grid))
+        assert result.aggregates is None and result.note is None
+    result = run_family(SweepConfig("pdc", (1,), grid=GridSpec(0.1, 0.2, 2, inclusive=True)))
+    assert len(result.aggregates) == 2 and "statistical" in result.note
 
 
 def test_json_mirrors_row_fields():
     import json
 
-    rows = run_szsz(SweepConfig("szsz", (1,), grid=GridSpec(0.0, 0.2, 2)))
+    rows = run_family(SweepConfig("szsz", (1,), grid=GridSpec(0.0, 0.2, 2))).rows
     payload = json.loads(rows_to_json(rows))
     assert set(payload["rows"][0]) == set(CSV_COLUMNS)
-    res = run_pdc(SweepConfig("pdc", (1,), grid=GridSpec(0.1, 0.2, 2, inclusive=True)))
+    res = run_family(SweepConfig("pdc", (1,), grid=GridSpec(0.1, 0.2, 2, inclusive=True)))
     payload = json.loads(rows_to_json(res.rows, aggregates=res.aggregates, note="x"))
     assert payload["note"] == "x"
     assert set(payload["aggregates"][0]) == {
