@@ -175,6 +175,8 @@ def run_checks(selector: str, d: int | None = None, seed: int = 7) -> tuple:
     """Run one named suite (or all) and aggregate the reports."""
     if selector not in SELECTORS:
         raise ValueError(f"unknown check selector {selector!r}; choose from {SELECTORS}")
+    if d is not None and selector not in ("basis", "all"):
+        raise ValueError(f"check {selector!r} takes no dimension; only 'basis' and 'all' read d")
     rng = np.random.default_rng(seed)
     reports: list = []
     if selector in ("basis", "all"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gellmann_basis, project_traceless, schwinger_ops
+from .basis import gellmann_basis, schwinger_ops
 from .states import (
     PdcEnsemble,
     PureBipartiteState,
@@ -131,49 +131,70 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _bloch_of(basis, u: np.ndarray) -> np.ndarray:
-    return project_traceless(basis, np.outer(u.conj(), u)).real
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """Entries conj(x_a) x_b of each row x of ``vecs``, shape (n, 1, d*d).
 
-
-def _top_eigvec(op: np.ndarray) -> np.ndarray:
-    _, vecs = np.linalg.eigh(op)
-    return vecs[:, -1]
+    Each projector is its own one-row matrix, so ``@`` handles every start
+    alone: a start's numbers do not depend on which other starts still run.
+    """
+    n, d = vecs.shape
+    return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(n, 1, d * d)
 
 
 def product_overlap_search(tensor: CorrelationTensor, iterations: int = 50, seed: int = 0) -> ProductSearchResult:
     """Lower-bound the best product-tensor overlap against ``tensor``.
 
-    Random product starts are refined by alternating exact one-side updates:
-    with one side fixed the overlap is linear in the other side's Bloch
-    vector, so the optimal update is the top eigenvector of the weighted
-    generator sum.  The result can never exceed the largest singular value;
-    the remaining gap is reported.
+    Random product starts are refined by alternating exact one-side updates.
+    With the second side fixed at the unit vector v, whose Bloch vector is
+    s, the overlap pref * r.T.s is linear in the first side's Bloch vector
+    r and is maximized by the top eigenvector u of A(v) = sum_i (T s)_i M_i.
+    Both one-side operators come straight from the correlation operator
+
+        K[a,b,c,e] = sum_ij T_ij (M_i)_ab (M_j)_ce,
+
+    built once per call: A(v)_ab = sum_ce K_abce conj(v_c) v_e, and the
+    second-side operator B(u)_ce = sum_ab K_abce conj(u_a) u_b is the same
+    formula on K transposed as (c,e,a,b).  The top eigenvector of B(u) is
+    the next v, and pref * lambda_max(B(u)) = pref * r.T.s is the overlap
+    reached, so no Bloch vector is ever formed.
+
+    All starts advance together: each half-step is one stacked ``eigh``
+    over the starts still running.  A start stops once a step gains less
+    than 1e-13, or after 60 steps, and keeps its value.  Each start draws
+    u, then v, from one seeded stream (the drawn u is never used), so a
+    larger ``iterations`` extends the same sequence of starts.  The result
+    can never exceed the largest singular value; the remaining gap is
+    reported.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     d = tensor.d
-    basis = gellmann_basis(d)
-    el = basis.elements
+    flat = gellmann_basis(d).elements[1:].reshape(d * d - 1, d * d)
+    # K with the pairs (ab) and (ce) flattened: A(v) = q(v) @ K.T and
+    # B(u) = q(u) @ K for the flattened projector q(x) = conj(x_a) x_b.
+    k_op = flat.T @ tensor.t @ flat
     rng = np.random.default_rng(seed)
-    pref = d / (2.0 * (d - 1.0))
-    bound = t_max(tensor)
-    best = -math.inf
+    starts = []
     for _ in range(iterations):
-        u = _random_unit(rng, d)
-        v = _random_unit(rng, d)
-        s = _bloch_of(basis, v)
-        val = -math.inf
-        for _ in range(60):
-            u = _top_eigvec(np.einsum("i,iab->ab", tensor.t @ s, el[1:]))
-            r = _bloch_of(basis, u)
-            v = _top_eigvec(np.einsum("i,iab->ab", tensor.t.T @ r, el[1:]))
-            s = _bloch_of(basis, v)
-            new = pref * float(r @ tensor.t @ s)
-            if new - val < 1e-13:
-                val = max(val, new)
-                break
-            val = new
-        best = max(best, val)
+        _random_unit(rng, d)
+        starts.append(_random_unit(rng, d))
+    v = np.array(starts)
+    pref = d / (2.0 * (d - 1.0))
+    vals = np.full(iterations, -math.inf)
+    active = np.arange(iterations)
+    for _ in range(60):
+        u = np.linalg.eigh((_projectors(v[active]) @ k_op.T).reshape(-1, d, d))[1][:, :, -1]
+        evals, evecs = np.linalg.eigh((_projectors(u) @ k_op).reshape(-1, d, d))
+        new = pref * evals[:, -1]
+        old = vals[active]
+        done = new - old < 1e-13
+        vals[active] = np.where(done, np.maximum(old, new), new)
+        v[active] = evecs[:, :, -1]
+        active = active[~done]
+        if active.size == 0:
+            break
+    best = float(vals.max())
+    bound = t_max(tensor)
     if best > bound + 1e-8:
         raise RuntimeError(
             f"product overlap {best!r} exceeded the singular-value bound {bound!r}"

@@ -94,14 +94,14 @@ class PdcEnsemble:
 
     @classmethod
     def build(cls, squeezing: float, n_trunc: int = 200, tail_tol: float = 1e-8):
-        if squeezing <= 0.0:
-            raise ValueError(f"squeezing must be positive, got {squeezing!r}")
+        cosh4 = _cosh4(squeezing)
         n = np.arange(n_trunc + 1)
-        w = (n + 1) * math.tanh(squeezing) ** (2 * n) / math.cosh(squeezing) ** 4
+        w = (n + 1) * math.tanh(squeezing) ** (2 * n) / cosh4
         tail = 1.0 - float(w.sum())
         if tail > tail_tol:
             raise ValueError(
                 f"truncation at N={n_trunc} leaves probability {tail:.3e} > {tail_tol:.1e}"
+                f" at squeezing {squeezing!r}"
             )
         w.setflags(write=False)
         return cls(squeezing=float(squeezing), weights=w, n_trunc=int(n_trunc))
@@ -194,13 +194,22 @@ def acstark_state(n: int, t: float, n_c: int, n_d: int) -> AcStarkOutcome:
     return AcStarkOutcome(n=n, t=t, n_c=int(n_c), n_d=int(n_d), state=state, norm_weight=weight)
 
 
+def _cosh4(squeezing: float) -> float:
+    """cosh(squeezing)^4, the normalizer of the pair-number distribution."""
+    if not 0.0 < squeezing < math.inf:
+        raise ValueError(f"squeezing must be positive and finite, got {squeezing!r}")
+    try:
+        return math.cosh(squeezing) ** 4
+    except OverflowError:
+        raise ValueError(f"squeezing {squeezing!r} is too large: cosh(squeezing)^4 overflows") from None
+
+
 def pdc_weight(n: int, squeezing: float) -> float:
     """Probability of post-selecting N photon pairs at the given squeezing."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValueError(f"pair number must be an integer >= 0, got {n!r}")
-    if squeezing <= 0.0:
-        raise ValueError(f"squeezing must be positive, got {squeezing!r}")
-    return (n + 1) * math.tanh(squeezing) ** (2 * n) / math.cosh(squeezing) ** 4
+    cosh4 = _cosh4(squeezing)
+    return (n + 1) * math.tanh(squeezing) ** (2 * n) / cosh4
 
 
 def bloch_closed_coefficients(n: int) -> tuple:

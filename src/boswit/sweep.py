@@ -72,6 +72,9 @@ class GridSpec:
     inclusive: bool = False
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)!r}")
         if self.steps < 1:
             raise ValueError(f"grid needs at least one step, got {self.steps!r}")
         if not self.hi > self.lo:
@@ -237,6 +240,8 @@ def _check_inputs(config: SweepConfig, family: _Family) -> None:
             raise ValueError(f"family {config.family!r} takes no {name}")
     if config.grid is not None and config.t_over_n is not None:
         raise ValueError("t_over_n replaces the parameter grid; give one or the other")
+    if config.t_over_n is not None and not math.isfinite(config.t_over_n):
+        raise ValueError(f"t_over_n must be finite, got {config.t_over_n!r}")
 
 
 def _validate_n_values(config: SweepConfig) -> None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -75,6 +76,27 @@ def test_invalid_arguments_exit_2(capsys):
 def test_unread_sweep_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "szsz", "--n", "2", "--grid", "0:inf:2"], "grid bound hi"),
+        (["sweep", "acstark", "--n", "3", "--t-over-n", "nan"], "t_over_n"),
+        (["sweep", "acstark", "--n", "3", "--t-over-n", "inf"], "t_over_n"),
+        (["sweep", "pdc", "--n", "2", "--K", "1:200:2"], "squeezing 200.0"),
+        (["sweep", "pdc", "--format", "json", "--K", "0.05:1e308:2"], "squeezing 1e+308"),
+        (["check", "appendix", "--d", "7"], "'appendix'"),
+        (["check", "closed-forms", "--d", "5"], "'closed-forms'"),
+    ],
+)
+def test_bad_input_exits_2_naming_it(argv, named, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
 
 
 def test_import_loads_no_process_pool():

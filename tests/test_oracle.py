@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from boswit import oracle
+from boswit.basis import gellmann_basis, project_traceless
 from boswit.states import (
     acstark_state,
     default_photon_outcomes,
@@ -86,6 +90,96 @@ def test_search_rejects_bad_iterations():
     ten = correlation_tensor(maximally_entangled(1))
     with pytest.raises(ValueError):
         oracle.product_overlap_search(ten, iterations=0)
+
+
+def _per_start_search(tensor, iterations, seed):
+    """Reference for ``product_overlap_search``: each start runs alone, with
+    Bloch vectors from ``project_traceless`` and one ``eigh`` per update.
+    Returns the best value and the number of steps taken over all starts."""
+    d = tensor.d
+    basis = gellmann_basis(d)
+    gens = basis.elements[1:]
+    rng = np.random.default_rng(seed)
+    pref = d / (2.0 * (d - 1.0))
+
+    def bloch(x):
+        return project_traceless(basis, np.outer(x.conj(), x)).real
+
+    def top(coeffs):
+        return np.linalg.eigh(np.einsum("i,iab->ab", coeffs, gens))[1][:, -1]
+
+    best = -math.inf
+    steps = 0
+    for _ in range(iterations):
+        oracle._random_unit(rng, d)
+        s = bloch(oracle._random_unit(rng, d))
+        val = -math.inf
+        for _ in range(60):
+            steps += 1
+            r = bloch(top(tensor.t @ s))
+            s = bloch(top(tensor.t.T @ r))
+            new = pref * float(r @ tensor.t @ s)
+            if new - val < 1e-13:
+                val = max(val, new)
+                break
+            val = new
+        best = max(best, val)
+    return best, steps
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_search_matches_per_start_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        ten = correlation_tensor(oracle.random_pure_state(n, rng))
+        for seed in (0, 1, 2):
+            res = oracle.product_overlap_search(ten, iterations=6, seed=seed)
+            assert abs(res.best - _per_start_search(ten, 6, seed)[0]) <= 1e-12
+            assert res.gap == t_max(ten) - res.best
+            assert res.samples == 6
+
+
+def test_search_stops_each_start_on_its_own(monkeypatch):
+    # A converged start leaves the stacked eigenproblems: the search solves
+    # two per step of each start, as the per-start loop does.  A stop decided
+    # by last-bit rounding may move one start by one step.
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in (1, 2, 3, 4):
+        ten = correlation_tensor(oracle.random_pure_state(n, rng))
+        cases.append((ten, _per_start_search(ten, 8, 0)[1]))
+    eigh = np.linalg.eigh
+    solved = []
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for ten, steps in cases:
+        assert steps < 50 * 8
+        solved.clear()
+        oracle.product_overlap_search(ten, iterations=8, seed=0)
+        assert abs(sum(solved) - 2 * steps) <= 2 * 8
+
+
+def test_search_best_never_falls_with_more_starts():
+    # Starts are a prefix of one seeded stream and each start's numbers do
+    # not depend on the others, so best(k) is a running maximum.
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        ten = correlation_tensor(oracle.random_pure_state(n, rng))
+        for seed in (0, 3):
+            best = [oracle.product_overlap_search(ten, iterations=k, seed=seed).best for k in (1, 2, 6, 20)]
+            assert best == sorted(best)
+
+
+def test_check_roundtrip_output_is_deterministic():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "boswit.cli", "check", "roundtrip", "--seed", "8"]
+    first, second = (subprocess.run(argv, capture_output=True, env=env, check=True).stdout for _ in range(2))
+    assert first == second
+    assert b'"product_search_bound"' in first
 
 
 def test_reference_closed_forms():

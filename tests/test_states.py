@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ def test_pdc_weight_values():
         pdc_weight(2, 0.0)
     with pytest.raises(ValueError):
         pdc_weight(-1, 0.5)
+    for squeezing in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pdc_weight(2, squeezing)
+
+
+@pytest.mark.parametrize("squeezing", [200.0, 1e308])
+def test_pdc_squeezing_too_large_for_floats(squeezing):
+    # cosh(squeezing)^4 overflows; the error names the squeezing.
+    for build in (lambda: pdc_weight(2, squeezing), lambda: PdcEnsemble.build(squeezing)):
+        with pytest.raises(ValueError, match=re.escape(f"squeezing {squeezing!r} is too large")):
+            build()
 
 
 @pytest.mark.parametrize("squeezing", [0.1, 0.5, 1.0, 1.5])

@@ -29,6 +29,22 @@ def test_grid_spec_points():
         GridSpec(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, bad", [(0.0, math.inf, "hi"), (-math.inf, 1.0, "lo"), (math.nan, 1.0, "lo"), (0.0, math.nan, "hi")]
+)
+def test_grid_rejects_non_finite_bounds(lo, hi, bad):
+    with pytest.raises(ValueError, match=f"grid bound {bad} must be finite"):
+        GridSpec(lo, hi, 2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_over_n_rejected(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_over_n must be finite"):
+            run_family(SweepConfig("acstark", (3,), t_over_n=value))
+
+
 def test_szsz_rows_ordered_and_consistent():
     rows = run_family(SweepConfig("szsz", (1, 2), grid=SMALL_GRID)).rows
     assert len(rows) == 16
