@@ -3,8 +3,6 @@ ensembles: generator bases, state families, witness quantities, brute-force
 verifiers, and parameter sweeps."""
 
 from .basis import (
-    HermitianBasis,
-    SpinOperatorTriple,
     build_gellmann,
     gellmann_basis,
     gm_index,

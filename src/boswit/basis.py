@@ -12,6 +12,13 @@ builds the Hermitian operator basis used for that system:
 * the d-1 diagonal matrices sqrt(2/(k(k+1))) (sum_{m<k} E_mm - k E_kk)
   occupy the last slots.
 
+This module is the one place that knows the enumeration: the pair order,
+the diagonal weights (``diagonal_weights``) and the flat indices
+(``gm_index``).  Everything it hands out is a plain read-only array:
+``gellmann_basis(d)`` the (d^2, d, d) basis, ``schwinger_ops`` the tuple
+(sx, sy, sz).  ``project_traceless`` contracts against the traceless
+elements without building them.
+
 Under this enumeration the three collective spin components of the two-mode
 system expand over adjacent-pair matrices with closed-form flat indices; see
 ``gm_index`` and ``spin_gellmann_decomposition``.
@@ -20,15 +27,13 @@ system expand over adjacent-pair matrices with closed-form flat indices; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "HermitianBasis",
-    "SpinOperatorTriple",
     "build_gellmann",
+    "diagonal_weights",
     "gellmann_basis",
     "gm_index",
     "schwinger_ops",
@@ -44,76 +49,54 @@ def _check_dimension(d) -> int:
     return int(d)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianBasis:
-    """Ordered Hermitian basis M_0 .. M_{d^2-1} for one d-level component."""
-
-    d: int
-    elements: np.ndarray        # (d^2, d, d) complex, read-only
-    sym_pairs: np.ndarray       # (d(d-1)/2, 2) int
-    anti_pairs: np.ndarray      # (d(d-1)/2, 2) int
-    index_map: dict = field(repr=False)
-
-    @property
-    def n_pairs(self) -> int:
-        return self.d * (self.d - 1) // 2
-
-    def flat_index(self, kind: str, arg) -> int:
-        return gm_index(self.d, kind, arg)
-
-
-@dataclass(frozen=True, eq=False)
-class SpinOperatorTriple:
-    """Collective spin components for one two-mode component."""
-
-    d: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    convention: str
-
-
-def build_gellmann(d: int) -> HermitianBasis:
-    """Build the full operator basis for dimension ``d``."""
-    d = _check_dimension(d)
-    n_pairs = d * (d - 1) // 2
-    elements = np.zeros((d * d, d, d), dtype=complex)
-    elements[0] = np.eye(d) / math.sqrt(d * (d - 1) / 2.0)
-
-    sym_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    anti_pairs = [(i, j) for j in range(1, d) for i in range(j - 1, -1, -1)]
-    index_map: dict = {}
-
-    for m, (i, j) in enumerate(sym_pairs):
-        a = elements[1 + m]
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-        index_map[("symmetric", (i, j))] = 1 + m
-    for m, (i, j) in enumerate(anti_pairs):
-        a = elements[1 + n_pairs + m]
-        a[i, j] = -1.0j
-        a[j, i] = 1.0j
-        index_map[("antisymmetric", (i, j))] = 1 + n_pairs + m
-    for k in range(1, d):
-        a = elements[d * (d - 1) + k]
-        w = math.sqrt(2.0 / (k * (k + 1)))
-        for m in range(k):
-            a[m, m] = w
-        a[k, k] = -k * w
-        index_map[("diagonal", k)] = d * (d - 1) + k
-
-    elements.setflags(write=False)
-    return HermitianBasis(
-        d=d,
-        elements=elements,
-        sym_pairs=np.array(sym_pairs, dtype=int),
-        anti_pairs=np.array(anti_pairs, dtype=int),
-        index_map=index_map,
-    )
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
-def gellmann_basis(d: int) -> HermitianBasis:
+def _pairs(d: int) -> tuple:
+    """Row and column indices (i, j), i < j, of the symmetric pairs and of
+    the antisymmetric pairs, each as a (2, d(d-1)/2) array in basis order."""
+    sym = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    anti = [(i, j) for j in range(1, d) for i in range(j - 1, -1, -1)]
+    return _read_only(np.array(sym).T), _read_only(np.array(anti).T)
+
+
+def _level_weights(d: int) -> np.ndarray:
+    """sqrt(2/(k(k+1))) for the diagonal levels k = 1 .. d-1."""
+    k = np.arange(1, d)
+    return np.sqrt(2.0 / (k * (k + 1.0)))
+
+
+@lru_cache(maxsize=None)
+def diagonal_weights(d: int) -> np.ndarray:
+    """Diagonals of the d-1 diagonal generators, row k-1 for level k:
+    sqrt(2/(k(k+1))) on levels below k and -k sqrt(2/(k(k+1))) on level k."""
+    k = np.arange(1, d)
+    steps = np.tri(d - 1, d) - k[:, None] * np.eye(d - 1, d, 1)
+    return _read_only(_level_weights(d)[:, None] * steps)
+
+
+def build_gellmann(d: int) -> np.ndarray:
+    """Build the read-only (d^2, d, d) operator basis for dimension ``d``."""
+    d = _check_dimension(d)
+    elements = np.zeros((d * d, d, d), dtype=complex)
+    elements[0] = np.eye(d) / math.sqrt(d * (d - 1) / 2.0)
+    (si, sj), (ai, aj) = _pairs(d)
+    sym = 1 + np.arange(si.size)
+    elements[sym, si, sj] = 1.0
+    elements[sym, sj, si] = 1.0
+    anti = sym + si.size
+    elements[anti, ai, aj] = -1.0j
+    elements[anti, aj, ai] = 1.0j
+    levels = np.arange(d)
+    elements[d * (d - 1) + 1:, levels, levels] = diagonal_weights(d)
+    return _read_only(elements)
+
+
+@lru_cache(maxsize=None)
+def gellmann_basis(d: int) -> np.ndarray:
     """Shared read-only basis for dimension ``d``."""
     return build_gellmann(d)
 
@@ -148,8 +131,9 @@ def gm_index(d: int, kind: str, arg) -> int:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def schwinger_ops(d: int, convention: str = "schwinger") -> SpinOperatorTriple:
-    """Collective spin components in the |k) = |N-k, k> basis, N = d-1.
+def schwinger_ops(d: int, convention: str = "schwinger") -> tuple:
+    """Read-only collective spin components (sx, sy, sz) in the
+    |k) = |N-k, k> basis, N = d-1.
 
     The ``schwinger`` convention has integer spectrum N-2k on the z
     component; ``spin_j`` divides every component by two, giving the
@@ -169,9 +153,7 @@ def schwinger_ops(d: int, convention: str = "schwinger") -> SpinOperatorTriple:
     sz = np.diag((d - 1) - 2.0 * np.arange(d)).astype(complex)
     if convention == "spin_j":
         sx, sy, sz = sx / 2.0, sy / 2.0, sz / 2.0
-    for a in (sx, sy, sz):
-        a.setflags(write=False)
-    return SpinOperatorTriple(d=d, sx=sx, sy=sy, sz=sz, convention=convention)
+    return _read_only(sx), _read_only(sy), _read_only(sz)
 
 
 def spin_gellmann_decomposition(d: int) -> dict:
@@ -194,8 +176,7 @@ def spin_gellmann_decomposition(d: int) -> dict:
 
 def _spin_identity_errors() -> list:
     """Entrywise errors of the eight d=3 generators rebuilt from spin-1 ops."""
-    ops = schwinger_ops(3, "spin_j")
-    sx, sy, sz = ops.sx, ops.sy, ops.sz
+    sx, sy, sz = schwinger_ops(3, "spin_j")
     r2 = math.sqrt(2.0)
     r3 = math.sqrt(3.0)
     built = {
@@ -210,7 +191,7 @@ def _spin_identity_errors() -> list:
         # combination is not traceless and cannot equal a generator.
         "M8": (3.0 * sz - 2.0 * (sz @ sz) + sx @ sx + sy @ sy) / (2.0 * r3),
     }
-    elements = gellmann_basis(3).elements
+    elements = gellmann_basis(3)
     out = []
     for m, (name, candidate) in enumerate(built.items(), start=1):
         err = float(np.max(np.abs(candidate - elements[m])))
@@ -234,22 +215,21 @@ def verify_gellmann_from_spin(atol: float = 1e-12) -> list:
     return reports
 
 
-def project_traceless(basis: HermitianBasis, q: np.ndarray) -> np.ndarray:
+def project_traceless(q: np.ndarray) -> np.ndarray:
     """Contract ``q`` against every traceless element along two leading axes.
 
     Returns out[i-1, ...] = sum_{ab} (M_i)_{ab} q[a, b, ...] for
-    i = 1 .. d^2 - 1, in basis order.
+    i = 1 .. d^2 - 1, in basis order, with d = q.shape[0].
     """
-    d = basis.d
-    si, sj = basis.sym_pairs[:, 0], basis.sym_pairs[:, 1]
-    ai, aj = basis.anti_pairs[:, 0], basis.anti_pairs[:, 1]
+    d = q.shape[0]
+    (si, sj), (ai, aj) = _pairs(d)
     sym = q[si, sj] + q[sj, si]
     anti = 1.0j * (q[aj, ai] - q[ai, aj])
     idx = np.arange(d)
     diag = q[idx, idx]
     csum = np.cumsum(diag, axis=0)
     k = np.arange(1, d)
-    w = np.sqrt(2.0 / (k * (k + 1)))
     extra = (1,) * (diag.ndim - 1)
-    dia = w.reshape((-1,) + extra) * (csum[:-1] - k.reshape((-1,) + extra) * diag[1:])
+    w = _level_weights(d).reshape((-1,) + extra)
+    dia = w * (csum[:-1] - k.reshape((-1,) + extra) * diag[1:])
     return np.concatenate([sym, anti, dia], axis=0)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import oracle, states, witness
+from . import oracle, states, sweep, witness
 from .basis import (
     _spin_identity_errors,
     gellmann_basis,
@@ -24,8 +24,7 @@ SELECTORS = ("basis", "appendix", "closed-forms", "roundtrip", "all")
 def _basis_checks(dims, rng) -> list:
     reports = []
     for d in dims:
-        basis = gellmann_basis(d)
-        el = basis.elements
+        el = gellmann_basis(d)
         m = d * d
 
         herm = float(np.max(np.abs(el - el.conj().transpose(0, 2, 1))))
@@ -50,9 +49,8 @@ def _basis_checks(dims, rng) -> list:
         reports.append(OracleReport(f"basis_index_formulas_d{d}", float(worst), worst == 0))
 
         dec = spin_gellmann_decomposition(d)
-        ops = schwinger_ops(d, "spin_j")
         err = 0.0
-        for axis, target in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
+        for axis, target in zip("xyz", schwinger_ops(d, "spin_j")):
             total = np.zeros((d, d), dtype=complex)
             for idx, coeff in dec[axis]:
                 total += coeff * el[idx]
@@ -118,16 +116,15 @@ def _family_states(n: int):
 
 
 def _roundtrip_checks(rng, seed: int) -> list:
-    reports = []
-    for label in ("szsz", "maxent", "acstark"):
-        err = 0.0
-        for n in range(1, 7):
-            for fam, state in _family_states(n):
-                if fam != label:
-                    continue
-                tensor = witness.correlation_tensor(state)
-                err = max(err, oracle.roundtrip_error(state, tensor))
-        reports.append(OracleReport(f"roundtrip_{label}_n1_6", err, err <= 1e-10, samples=6))
+    errs = dict.fromkeys(("szsz", "maxent", "acstark"), 0.0)
+    for n in range(1, 7):
+        for label, state in _family_states(n):
+            tensor = witness.correlation_tensor(state)
+            errs[label] = max(errs[label], oracle.roundtrip_error(state, tensor))
+    reports = [
+        OracleReport(f"roundtrip_{label}_n1_6", err, err <= 1e-10, samples=6)
+        for label, err in errs.items()
+    ]
 
     violation = 0.0
     worst_gap = 0.0
@@ -177,6 +174,9 @@ def run_checks(selector: str, d: int | None = None, seed: int = 7) -> tuple:
         raise ValueError(f"unknown check selector {selector!r}; choose from {SELECTORS}")
     if d is not None and selector not in ("basis", "all"):
         raise ValueError(f"check {selector!r} takes no dimension; only 'basis' and 'all' read d")
+    # The basis checks grow as d^4; a sweep never goes past N_HARD_CAP + 1.
+    if d is not None and d > sweep.N_HARD_CAP + 1:
+        raise ValueError(f"check dimension must be at most {sweep.N_HARD_CAP + 1}, got {d}")
     rng = np.random.default_rng(seed)
     reports: list = []
     if selector in ("basis", "all"):

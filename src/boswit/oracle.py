@@ -73,7 +73,7 @@ def dense_correlation_tensor(state: PureBipartiteState, elements: np.ndarray | N
     """Reference tensor from explicit expectations of every operator pair."""
     d = state.d
     if elements is None:
-        elements = gellmann_basis(d).elements
+        elements = gellmann_basis(d)
     psi = state.coeff.reshape(-1)
     rho = np.outer(psi, psi.conj())
     pref = d / (2.0 * (d - 1.0))
@@ -94,8 +94,7 @@ def dense_correlation_tensor(state: PureBipartiteState, elements: np.ndarray | N
 
 def dense_spin_tensor(state: PureBipartiteState) -> np.ndarray:
     """Reference 3x3 spin correlation matrix via explicit tensor products."""
-    ops = schwinger_ops(state.d, "schwinger")
-    mats = (ops.sx, ops.sy, ops.sz)
+    mats = schwinger_ops(state.d, "schwinger")
     psi = state.coeff.reshape(-1)
     rho = np.outer(psi, psi.conj())
     out = np.empty((3, 3))
@@ -110,7 +109,7 @@ def reconstruct_density(tensor: CorrelationTensor) -> np.ndarray:
     d = tensor.d
     if d > RECONSTRUCT_MAX_D:
         raise ValueError(f"dense reconstruction is limited to d <= {RECONSTRUCT_MAX_D}, got {d}")
-    el = gellmann_basis(d).elements
+    el = gellmann_basis(d)
     m0 = el[0]
     body = np.einsum("ij,iab,jcd->acbd", tensor.t, el[1:], el[1:])
     body = body + np.einsum("i,iab,cd->acbd", (d - 1.0) * tensor.local_a, el[1:], m0)
@@ -169,7 +168,7 @@ def product_overlap_search(tensor: CorrelationTensor, iterations: int = 50, seed
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     d = tensor.d
-    flat = gellmann_basis(d).elements[1:].reshape(d * d - 1, d * d)
+    flat = gellmann_basis(d)[1:].reshape(d * d - 1, d * d)
     # K with the pairs (ab) and (ce) flattened: A(v) = q(v) @ K.T and
     # B(u) = q(u) @ K for the flattened projector q(x) = conj(x_a) x_b.
     k_op = flat.T @ tensor.t @ flat

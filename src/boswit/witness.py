@@ -17,11 +17,12 @@ Two routes lead to the identifiers:
   Local unitaries rotate the traceless coordinates orthogonally, so every
   identifier depends on p alone.  In the Schmidt basis the tensor is block
   diagonal: the (d-1) x (d-1) diagonal-generator block
-  pref W diag(p) W^T, with W the diagonal-generator weights, plus the
+  pref W diag(p) W^T, with W = ``basis.diagonal_weights(d)``, plus the
   entries +-2 pref sqrt(p_i p_j), two per pair i < j.
-* ``correlation_tensor`` builds the whole O(d^4) tensor.  It is the
-  independent reference for ``evaluate`` and the input of the round trips
-  and the product-overlap search.
+* ``correlation_tensor`` builds the whole O(d^4) tensor by contracting q
+  through ``basis.project_traceless``; the (d^2, d, d) basis itself is
+  never built.  It is the independent reference for ``evaluate`` and the
+  input of the round trips and the product-overlap search.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, gellmann_basis, project_traceless, schwinger_ops
+from .basis import diagonal_weights, project_traceless, schwinger_ops
 from .states import PureBipartiteState
 
 __all__ = [
@@ -95,7 +96,7 @@ def _real_guard(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.real)
 
 
-def correlation_tensor(state: PureBipartiteState, basis: HermitianBasis | None = None) -> CorrelationTensor:
+def correlation_tensor(state: PureBipartiteState) -> CorrelationTensor:
     """Correlation tensor of a normalized pure state.
 
     T_ij = d/(2(d-1)) <M_i x M_j> for i, j >= 1; the locals are the
@@ -103,21 +104,19 @@ def correlation_tensor(state: PureBipartiteState, basis: HermitianBasis | None =
     """
     _require_normalized(state)
     d = state.d
-    if basis is None:
-        basis = gellmann_basis(d)
     c = state.coeff
     pref = d / (2.0 * (d - 1.0))
 
     q = np.einsum("am,bn->abmn", c.conj(), c)
-    x = project_traceless(basis, q)                               # (d^2-1, d, d)
-    y = project_traceless(basis, np.moveaxis(x, (1, 2), (0, 1)))  # (j, i)
+    x = project_traceless(q)                               # (d^2-1, d, d)
+    y = project_traceless(np.moveaxis(x, (1, 2), (0, 1)))  # (j, i)
     t = _real_guard(pref * y.T)
 
     m0 = 1.0 / math.sqrt(d * (d - 1) / 2.0)
     rho_a = c @ c.conj().T
     rho_b_t = c.conj().T @ c          # transpose of the second reduced state
-    local_a = _real_guard(pref * m0 * project_traceless(basis, rho_a.T))
-    local_b = _real_guard(pref * m0 * project_traceless(basis, rho_b_t))
+    local_a = _real_guard(pref * m0 * project_traceless(rho_a.T))
+    local_b = _real_guard(pref * m0 * project_traceless(rho_b_t))
     for a in (t, local_a, local_b):
         a.setflags(write=False)
     return CorrelationTensor(d=d, t=t, local_a=local_a, local_b=local_b)
@@ -161,16 +160,17 @@ def von_neumann_entropy(state: PureBipartiteState) -> float:
 
 
 def _entropy_bits(p: np.ndarray) -> float:
+    # p = s^2 can land a few ulp above 1, which would give a tiny negative;
+    # the floor also turns the -0.0 of a single p == 1 into 0.0.
     p = p[p > 1e-15]
-    return float(-np.sum(p * np.log2(p)) + 0.0)   # +0.0 clears IEEE -0.0
+    return max(0.0, float(-np.sum(p * np.log2(p))))
 
 
 def spin_tensor(state: PureBipartiteState) -> np.ndarray:
     """3x3 correlation matrix of the integer-spectrum spin components,
     scaled by 1/N^2 so an x-polarized product pair gives unit xx entry."""
     _require_normalized(state)
-    ops = schwinger_ops(state.d, "schwinger")
-    mats = (ops.sx, ops.sy, ops.sz)
+    mats = schwinger_ops(state.d, "schwinger")
     c = state.coeff
     left = [c.conj().T @ m @ c for m in mats]
     raw = np.array([[np.sum(li * mj) for mj in mats] for li in left])
@@ -186,14 +186,6 @@ def spin_criterion(tprime: np.ndarray) -> tuple:
     norm = float(np.sum(tprime * tprime))
     top = float(np.linalg.svd(tprime, compute_uv=False)[0])
     return norm, top, norm / top
-
-
-def _diagonal_weights(d: int) -> np.ndarray:
-    """Diagonals of the d-1 diagonal generators, row k-1 for level k:
-    sqrt(2/(k(k+1))) on levels below k and -k sqrt(2/(k(k+1))) on level k."""
-    k = np.arange(1, d)
-    steps = np.tri(d - 1, d) - k[:, None] * np.eye(d - 1, d, 1)
-    return np.sqrt(2.0 / (k * (k + 1.0)))[:, None] * steps
 
 
 def evaluate(state: PureBipartiteState) -> CriterionReport:
@@ -216,7 +208,7 @@ def evaluate(state: PureBipartiteState) -> CriterionReport:
     pref = d / (2.0 * (d - 1.0))
     s = np.linalg.svd(state.coeff, compute_uv=False)
     p = s * s
-    w = _diagonal_weights(d)
+    w = diagonal_weights(d)
     block = pref * (w * p) @ w.T
     # The pair entries add 2 (2 pref)^2 sum_{i<j} p_i p_j = 4 pref^2 (1 - sum p^2).
     tn = float(np.sum(block * block)) + 4.0 * pref * pref * (1.0 - float(p @ p))

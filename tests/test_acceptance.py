@@ -232,7 +232,7 @@ def test_criterion_09_operator_identities():
     reports = verify_gellmann_from_spin(atol=1e-12)
     ok = len(reports) == 8 and all(r["passed"] for r in reports)
     for d in range(2, 13):
-        el = gellmann_basis(d).elements
+        el = gellmann_basis(d)
         flat = el[1:].reshape(d * d - 1, -1)
         gram = (flat @ flat.conj().T).real
         ok &= float(np.max(np.abs(gram - 2.0 * np.eye(d * d - 1)))) <= 1e-12
@@ -243,8 +243,7 @@ def test_criterion_09_operator_identities():
         norms = np.einsum("iab,iba->i", el, el)
         ok &= float(np.max(np.abs(np.einsum("i,iab->ab", coeffs / norms, el) - h))) <= 1e-10
         dec = spin_gellmann_decomposition(d)
-        ops = schwinger_ops(d, "spin_j")
-        for axis, target in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
+        for axis, target in zip("xyz", schwinger_ops(d, "spin_j")):
             total = np.zeros((d, d), dtype=complex)
             for idx, coeff in dec[axis]:
                 total += coeff * el[idx]

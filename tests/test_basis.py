@@ -26,16 +26,47 @@ def test_invalid_dimension():
             build_gellmann(bad)
 
 
+def _loop_built_gellmann(d):
+    """Reference basis filled one element at a time, in the documented order."""
+    el = np.zeros((d * d, d, d), dtype=complex)
+    el[0] = np.eye(d) / math.sqrt(d * (d - 1) / 2.0)
+    n_pairs = d * (d - 1) // 2
+    sym_pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    anti_pairs = [(i, j) for j in range(1, d) for i in range(j - 1, -1, -1)]
+    for m, (i, j) in enumerate(sym_pairs):
+        el[1 + m, i, j] = 1.0
+        el[1 + m, j, i] = 1.0
+    for m, (i, j) in enumerate(anti_pairs):
+        el[1 + n_pairs + m, i, j] = -1.0j
+        el[1 + n_pairs + m, j, i] = 1.0j
+    for k in range(1, d):
+        w = math.sqrt(2.0 / (k * (k + 1)))
+        for m in range(k):
+            el[d * (d - 1) + k, m, m] = w
+        el[d * (d - 1) + k, k, k] = -k * w
+    return el
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_build_matches_loop_reference(d):
+    el = build_gellmann(d)
+    ref = _loop_built_gellmann(d)
+    assert el.shape == ref.shape and el.dtype == ref.dtype
+    assert np.array_equal(el, ref)
+    assert el.tobytes() == ref.tobytes()   # signs of zeros too
+    assert not el.flags.writeable
+
+
 def test_pauli_case():
     b = build_gellmann(2)
-    assert np.allclose(b.elements[0], np.eye(2), atol=1e-15)
-    assert np.allclose(b.elements[1], PAULI_X, atol=1e-15)
-    assert np.allclose(b.elements[2], PAULI_Y, atol=1e-15)
-    assert np.allclose(b.elements[3], PAULI_Z, atol=1e-15)
+    assert np.allclose(b[0], np.eye(2), atol=1e-15)
+    assert np.allclose(b[1], PAULI_X, atol=1e-15)
+    assert np.allclose(b[2], PAULI_Y, atol=1e-15)
+    assert np.allclose(b[3], PAULI_Z, atol=1e-15)
 
 
 def test_d3_elements_frozen():
-    el = build_gellmann(3).elements
+    el = build_gellmann(3)
     assert np.allclose(el[0], np.eye(3) / math.sqrt(3), atol=1e-15)
     assert np.allclose(el[1], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], atol=1e-15)
     assert np.allclose(el[2], [[0, 0, 1], [0, 0, 0], [1, 0, 0]], atol=1e-15)
@@ -49,7 +80,7 @@ def test_d3_elements_frozen():
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_hermitian_traceless_orthogonal(d):
-    el = gellmann_basis(d).elements
+    el = gellmann_basis(d)
     assert np.max(np.abs(el - el.conj().transpose(0, 2, 1))) < 1e-12
     traces = np.einsum("iaa->i", el[1:])
     assert np.max(np.abs(traces)) < 1e-12
@@ -59,20 +90,11 @@ def test_hermitian_traceless_orthogonal(d):
 
 
 @pytest.mark.parametrize("d", range(2, 13))
-def test_kind_counts(d):
-    b = gellmann_basis(d)
-    kinds = [key[0] for key in b.index_map]
-    assert kinds.count("symmetric") == d * (d - 1) // 2
-    assert kinds.count("antisymmetric") == d * (d - 1) // 2
-    assert kinds.count("diagonal") == d - 1
-
-
-@pytest.mark.parametrize("d", range(2, 13))
 def test_completeness_random_hermitian(d):
     rng = np.random.default_rng(100 + d)
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = h + h.conj().T
-    el = gellmann_basis(d).elements
+    el = gellmann_basis(d)
     coeffs = np.einsum("iab,ba->i", el, h)
     norms = np.einsum("iab,iba->i", el, el)
     rebuilt = np.einsum("i,iab->ab", coeffs / norms, el)
@@ -93,20 +115,31 @@ def test_gm_index_adjacent_pair_formulas(d):
         assert gm_index(d, "diagonal", k) == d * (d - 1) + k
 
 
-@pytest.mark.parametrize("d", range(2, 9))
-def test_gm_index_locates_elements(d):
-    b = gellmann_basis(d)
-    for (kind, arg), idx in b.index_map.items():
-        assert gm_index(d, kind, arg) == idx
-        m = b.elements[idx]
-        if kind == "symmetric":
-            i, j = arg
-            assert m[i, j] == 1.0 and m[j, i] == 1.0
-        elif kind == "antisymmetric":
-            i, j = arg
-            assert m[i, j] == -1j and m[j, i] == 1j
-        else:
-            assert m[arg, arg].real < 0
+@pytest.mark.parametrize("d", range(2, 13))
+def test_kind_counts(d):
+    """Every pair and level has its own flat index: the three kinds count
+    d(d-1)/2, d(d-1)/2 and d-1, ``gm_index`` maps them one-to-one onto
+    1 .. d^2-1, and each index locates the element of that kind."""
+    el = gellmann_basis(d)
+    found = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            expected = np.zeros((d, d), dtype=complex)
+            expected[i, j] = expected[j, i] = 1.0
+            found.append(("symmetric", gm_index(d, "symmetric", (i, j)), expected))
+            expected = np.zeros((d, d), dtype=complex)
+            expected[i, j], expected[j, i] = -1.0j, 1.0j
+            found.append(("antisymmetric", gm_index(d, "antisymmetric", (i, j)), expected))
+    for k in range(1, d):
+        steps = np.array([1.0] * k + [-float(k)] + [0.0] * (d - 1 - k))
+        expected = np.diag(math.sqrt(2.0 / (k * (k + 1))) * steps).astype(complex)
+        found.append(("diagonal", gm_index(d, "diagonal", k), expected))
+    kinds = [kind for kind, _, _ in found]
+    assert kinds.count("symmetric") == kinds.count("antisymmetric") == d * (d - 1) // 2
+    assert kinds.count("diagonal") == d - 1
+    assert sorted(idx for _, idx, _ in found) == list(range(1, d * d))
+    for kind, idx, expected in found:
+        assert np.array_equal(el[idx], expected), (kind, idx)
 
 
 def test_gm_index_errors():
@@ -123,32 +156,32 @@ def test_gm_index_errors():
 
 
 def test_schwinger_pauli_limit():
-    ops = schwinger_ops(2, "schwinger")
-    assert np.allclose(ops.sx, PAULI_X, atol=1e-15)
-    assert np.allclose(ops.sy, PAULI_Y, atol=1e-15)
-    assert np.allclose(ops.sz, PAULI_Z, atol=1e-15)
+    sx, sy, sz = schwinger_ops(2, "schwinger")
+    assert np.allclose(sx, PAULI_X, atol=1e-15)
+    assert np.allclose(sy, PAULI_Y, atol=1e-15)
+    assert np.allclose(sz, PAULI_Z, atol=1e-15)
 
 
 def test_spin_j_d3_frozen():
-    ops = schwinger_ops(3, "spin_j")
+    sx, sy, sz = schwinger_ops(3, "spin_j")
     r = 1 / math.sqrt(2)
-    assert np.allclose(ops.sx, r * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]), atol=1e-15)
-    assert np.allclose(ops.sy, r * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]), atol=1e-15)
-    assert np.allclose(ops.sz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
+    assert np.allclose(sx, r * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]), atol=1e-15)
+    assert np.allclose(sy, r * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]), atol=1e-15)
+    assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
 
 
 def test_schwinger_d4_sz():
-    ops = schwinger_ops(4, "schwinger")
-    assert np.allclose(ops.sz, np.diag([3.0, 1.0, -1.0, -3.0]), atol=1e-15)
+    _, _, sz = schwinger_ops(4, "schwinger")
+    assert np.allclose(sz, np.diag([3.0, 1.0, -1.0, -3.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_commutators(d):
-    s = schwinger_ops(d, "schwinger")
-    assert np.max(np.abs(s.sx @ s.sy - s.sy @ s.sx - 2j * s.sz)) < 1e-10
-    j = schwinger_ops(d, "spin_j")
-    assert np.max(np.abs(j.sx @ j.sy - j.sy @ j.sx - 1j * j.sz)) < 1e-10
-    assert np.max(np.abs(2.0 * j.sx - s.sx)) < 1e-14
+    sx, sy, sz = schwinger_ops(d, "schwinger")
+    assert np.max(np.abs(sx @ sy - sy @ sx - 2j * sz)) < 1e-10
+    jx, jy, jz = schwinger_ops(d, "spin_j")
+    assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-10
+    assert np.max(np.abs(2.0 * jx - sx)) < 1e-14
 
 
 def test_decomposition_printed_cases():
@@ -163,9 +196,8 @@ def test_decomposition_printed_cases():
 @pytest.mark.parametrize("d", range(2, 13))
 def test_decomposition_sums_to_spin_j(d):
     dec = spin_gellmann_decomposition(d)
-    el = gellmann_basis(d).elements
-    ops = schwinger_ops(d, "spin_j")
-    for axis, target in (("x", ops.sx), ("y", ops.sy), ("z", ops.sz)):
+    el = gellmann_basis(d)
+    for axis, target in zip("xyz", schwinger_ops(d, "spin_j")):
         total = np.zeros((d, d), dtype=complex)
         for idx, coeff in dec[axis]:
             total += coeff * el[idx]
@@ -180,8 +212,7 @@ def test_spin_identities_all_pass():
 
 
 def test_spin_identity_frozen_values():
-    ops = schwinger_ops(3, "spin_j")
-    sx, sy, sz = ops.sx, ops.sy, ops.sz
+    sx, sy, sz = schwinger_ops(3, "spin_j")
     m2 = sx @ sx - sy @ sy
     assert np.allclose(m2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]], atol=1e-14)
     m7 = (sz + 2 * (sz @ sz) - sx @ sx - sy @ sy) / 2
@@ -189,18 +220,22 @@ def test_spin_identity_frozen_values():
 
 
 def test_project_traceless_matches_dense():
-    d = 5
-    b = gellmann_basis(d)
     rng = np.random.default_rng(3)
-    q = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    fast = project_traceless(b, q)
-    dense = np.array([np.sum(b.elements[i] * q) for i in range(1, d * d)])
-    assert np.max(np.abs(fast - dense)) < 1e-12
+    for d in range(2, 10):
+        el = gellmann_basis(d)
+        # A bare matrix, as for the locals, and one with two trailing axes,
+        # as for the two-point function of the tensor route.
+        for shape in ((d, d), (d, d, d, d)):
+            q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            fast = project_traceless(q)
+            dense = np.einsum("iab,ab...->i...", el[1:], q)
+            assert fast.shape == (d * d - 1,) + shape[2:]
+            assert np.max(np.abs(fast - dense)) < 1e-12, (d, shape)
 
 
 @given(st.integers(min_value=2, max_value=9))
 def test_basis_properties_hypothesis(d):
-    el = gellmann_basis(d).elements
+    el = gellmann_basis(d)
     assert el.shape == (d * d, d, d)
     assert np.max(np.abs(el - el.conj().transpose(0, 2, 1))) < 1e-12
     assert abs(np.trace(el[0] @ el[0]).real - 2.0 / (d - 1)) < 1e-12

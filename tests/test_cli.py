@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
+from boswit import checks
 from boswit.cli import main
-from boswit.sweep import CSV_COLUMNS
+from boswit.sweep import CSV_COLUMNS, N_HARD_CAP
 
 
 def test_sweep_szsz_to_file(tmp_path):
@@ -97,6 +98,23 @@ def test_bad_input_exits_2_naming_it(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check", "basis", "--d", "42"], ["check", "all", "--d", "100000"]])
+def test_oversized_check_dimension_exits_2_before_building(argv, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("basis checks started on an oversized dimension")
+
+    monkeypatch.setattr(checks, "_basis_checks", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"at most {N_HARD_CAP + 1}" in captured.err
+
+
+def test_run_checks_bounds_the_dimension():
+    with pytest.raises(ValueError, match=f"at most {N_HARD_CAP + 1}, got {N_HARD_CAP + 2}"):
+        checks.run_checks("basis", d=N_HARD_CAP + 2)
 
 
 def test_import_loads_no_process_pool():

@@ -97,13 +97,12 @@ def _per_start_search(tensor, iterations, seed):
     Bloch vectors from ``project_traceless`` and one ``eigh`` per update.
     Returns the best value and the number of steps taken over all starts."""
     d = tensor.d
-    basis = gellmann_basis(d)
-    gens = basis.elements[1:]
+    gens = gellmann_basis(d)[1:]
     rng = np.random.default_rng(seed)
     pref = d / (2.0 * (d - 1.0))
 
     def bloch(x):
-        return project_traceless(basis, np.outer(x.conj(), x)).real
+        return project_traceless(np.outer(x.conj(), x)).real
 
     def top(coeffs):
         return np.linalg.eigh(np.einsum("i,iab->ab", coeffs, gens))[1][:, -1]

@@ -138,13 +138,19 @@ def test_identifiers_invariant_under_basis_shuffle():
         ref = correlation_tensor(state)
         d = state.d
         perm = np.concatenate([[0], rng.permutation(np.arange(1, d * d))])
-        shuffled = gellmann_basis(d).elements[perm]
+        shuffled = gellmann_basis(d)[perm]
         alt = oracle.dense_correlation_tensor(state, elements=shuffled)
         assert tensor_norm(alt) == pytest.approx(tensor_norm(ref), abs=1e-9)
         assert t_max(alt) == pytest.approx(t_max(ref), abs=1e-9)
         _, bs_ref = bloch_vector(ref, "A")
         _, bs_alt = bloch_vector(alt, "A")
         assert bs_alt == pytest.approx(bs_ref, abs=1e-9)
+
+
+def test_correlation_tensor_builds_no_basis():
+    gellmann_basis.cache_clear()
+    correlation_tensor(szsz_state(4, 0.3))
+    assert gellmann_basis.cache_info().currsize == 0
 
 
 def test_spin_tensor_elements_on_grid():
@@ -337,10 +343,16 @@ def test_routes_agree_on_acstark_at_the_hard_cap():
 def test_product_states_pinned_up_to_the_hard_cap():
     rng = np.random.default_rng(40)
     for n in range(1, N_HARD_CAP + 1):
-        rep = evaluate(oracle.random_product_state(n, rng))
-        assert rep.t_norm == pytest.approx(1.0, abs=1e-12), n
-        assert rep.t_max == pytest.approx(1.0, abs=1e-12), n
-        assert not rep.entangled_by_norm and not rep.entangled_by_eps, n
+        # szsz at tau = 0 is |0)|0), whose one Schmidt weight lands a few ulp
+        # off 1: above it (N = 2, 5, 8, ...) the entropy is floored at zero,
+        # below it (N = 3, 4, ...) it stays a few ulp positive.
+        basis_product = szsz_state(n, 0.0)
+        for state in (oracle.random_product_state(n, rng), basis_product):
+            rep = evaluate(state)
+            assert rep.t_norm == pytest.approx(1.0, abs=1e-12), n
+            assert rep.t_max == pytest.approx(1.0, abs=1e-12), n
+            assert not rep.entangled_by_norm and not rep.entangled_by_eps, n
+        assert 0.0 <= rep.entropy < 1e-14, n
 
 
 def test_maxent_epsilon_computed_over_the_pdc_truncation():
