@@ -115,12 +115,9 @@ def test_gm_index_adjacent_pair_formulas(d):
         assert gm_index(d, "diagonal", k) == d * (d - 1) + k
 
 
-@pytest.mark.parametrize("d", range(2, 13))
-def test_kind_counts(d):
-    """Every pair and level has its own flat index: the three kinds count
-    d(d-1)/2, d(d-1)/2 and d-1, ``gm_index`` maps them one-to-one onto
-    1 .. d^2-1, and each index locates the element of that kind."""
-    el = gellmann_basis(d)
+def _indexed_elements(d):
+    """Every pair and level with its kind, its ``gm_index`` and the matrix
+    expected at that index."""
     found = []
     for i in range(d):
         for j in range(i + 1, d):
@@ -134,9 +131,23 @@ def test_kind_counts(d):
         steps = np.array([1.0] * k + [-float(k)] + [0.0] * (d - 1 - k))
         expected = np.diag(math.sqrt(2.0 / (k * (k + 1))) * steps).astype(complex)
         found.append(("diagonal", gm_index(d, "diagonal", k), expected))
-    kinds = [kind for kind, _, _ in found]
-    assert kinds.count("symmetric") == kinds.count("antisymmetric") == d * (d - 1) // 2
+    return found
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_kind_counts(d):
+    kinds = [kind for kind, _, _ in _indexed_elements(d)]
+    assert kinds.count("symmetric") == d * (d - 1) // 2
+    assert kinds.count("antisymmetric") == d * (d - 1) // 2
     assert kinds.count("diagonal") == d - 1
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_gm_index_locates_elements(d):
+    """``gm_index`` maps the pairs and levels one-to-one onto 1 .. d^2-1, and
+    each index locates the element of that kind."""
+    el = gellmann_basis(d)
+    found = _indexed_elements(d)
     assert sorted(idx for _, idx, _ in found) == list(range(1, d * d))
     for kind, idx, expected in found:
         assert np.array_equal(el[idx], expected), (kind, idx)
