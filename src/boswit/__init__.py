@@ -15,6 +15,7 @@ from .oracle import (
     ProductSearchResult,
     pdc_epsilon_average,
     product_overlap_search,
+    product_overlap_searches,
     pure_entanglement_oracle,
     reconstruct_density,
     roundtrip_error,

@@ -133,7 +133,7 @@ def gm_index(d: int, kind: str, arg) -> int:
 
 def schwinger_ops(d: int, convention: str = "schwinger") -> tuple:
     """Read-only collective spin components (sx, sy, sz) in the
-    |k) = |N-k, k> basis, N = d-1.
+    |k) = |N-k, k> basis, N = d-1, shared per (d, convention).
 
     The ``schwinger`` convention has integer spectrum N-2k on the z
     component; ``spin_j`` divides every component by two, giving the
@@ -142,6 +142,11 @@ def schwinger_ops(d: int, convention: str = "schwinger") -> tuple:
     d = _check_dimension(d)
     if convention not in ("schwinger", "spin_j"):
         raise ValueError(f"unknown convention {convention!r}")
+    return _schwinger_ops(d, convention)
+
+
+@lru_cache(maxsize=None)
+def _schwinger_ops(d: int, convention: str) -> tuple:
     k = np.arange(1, d)
     off = np.sqrt(k * (d - k)).astype(complex)
     sx = np.zeros((d, d), dtype=complex)

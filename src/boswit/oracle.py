@@ -30,6 +30,7 @@ __all__ = [
     "reconstruct_density",
     "roundtrip_error",
     "product_overlap_search",
+    "product_overlap_searches",
     "reference_closed_forms",
     "pdc_epsilon_average",
     "pure_entanglement_oracle",
@@ -109,13 +110,16 @@ def reconstruct_density(tensor: CorrelationTensor) -> np.ndarray:
     d = tensor.d
     if d > RECONSTRUCT_MAX_D:
         raise ValueError(f"dense reconstruction is limited to d <= {RECONSTRUCT_MAX_D}, got {d}")
-    el = gellmann_basis(d)
-    m0 = el[0]
-    body = np.einsum("ij,iab,jcd->acbd", tensor.t, el[1:], el[1:])
-    body = body + np.einsum("i,iab,cd->acbd", (d - 1.0) * tensor.local_a, el[1:], m0)
-    body = body + np.einsum("j,ab,jcd->acbd", (d - 1.0) * tensor.local_b, m0, el[1:])
-    rho = np.kron(m0, m0).astype(complex) + body.reshape(d * d, d * d)
-    return (d - 1.0) / (2.0 * d) * rho
+    # rho is (d-1)/(2d) sum_mn C_mn M_m x M_n over the whole basis, with
+    # C_00 = 1, the scaled locals in row and column 0 and T in the rest.
+    coeffs = np.empty((d * d, d * d))
+    coeffs[0, 0] = 1.0
+    coeffs[1:, 0] = (d - 1.0) * tensor.local_a
+    coeffs[0, 1:] = (d - 1.0) * tensor.local_b
+    coeffs[1:, 1:] = tensor.t
+    flat = gellmann_basis(d).reshape(d * d, d * d)
+    rho = (flat.T @ coeffs @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    return (d - 1.0) / (2.0 * d) * rho.reshape(d * d, d * d)
 
 
 def roundtrip_error(state: PureBipartiteState, tensor: CorrelationTensor) -> float:
@@ -131,17 +135,26 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _projectors(vecs: np.ndarray) -> np.ndarray:
-    """Entries conj(x_a) x_b of each row x of ``vecs``, shape (n, 1, d*d).
+    """Entries conj(x_a) x_b of each vector x along the last axis of
+    ``vecs``, as one-row matrices: shape (..., 1, d*d).
 
     Each projector is its own one-row matrix, so ``@`` handles every start
     alone: a start's numbers do not depend on which other starts still run.
     """
-    n, d = vecs.shape
-    return (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(n, 1, d * d)
+    d = vecs.shape[-1]
+    return (vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(vecs.shape[:-1] + (1, d * d))
 
 
 def product_overlap_search(tensor: CorrelationTensor, iterations: int = 50, seed: int = 0) -> ProductSearchResult:
     """Lower-bound the best product-tensor overlap against ``tensor``.
+
+    The search of one job; see ``product_overlap_searches``.
+    """
+    return product_overlap_searches([(tensor, seed)], iterations)[0]
+
+
+def product_overlap_searches(jobs, iterations: int = 50) -> list:
+    """Run one product-overlap search per ``(tensor, seed)`` job, in order.
 
     Random product starts are refined by alternating exact one-side updates.
     With the second side fixed at the unit vector v, whose Bloch vector is
@@ -151,54 +164,81 @@ def product_overlap_search(tensor: CorrelationTensor, iterations: int = 50, seed
 
         K[a,b,c,e] = sum_ij T_ij (M_i)_ab (M_j)_ce,
 
-    built once per call: A(v)_ab = sum_ce K_abce conj(v_c) v_e, and the
+    built once per job: A(v)_ab = sum_ce K_abce conj(v_c) v_e, and the
     second-side operator B(u)_ce = sum_ab K_abce conj(u_a) u_b is the same
     formula on K transposed as (c,e,a,b).  The top eigenvector of B(u) is
     the next v, and pref * lambda_max(B(u)) = pref * r.T.s is the overlap
     reached, so no Bloch vector is ever formed.
 
-    All starts advance together: each half-step is one stacked ``eigh``
-    over the starts still running.  A start stops once a step gains less
-    than 1e-13, or after 60 steps, and keeps its value.  Each start draws
-    u, then v, from one seeded stream (the drawn u is never used), so a
-    larger ``iterations`` extends the same sequence of starts.  The result
-    can never exceed the largest singular value; the remaining gap is
-    reported.
+    Every start of every job of one dimension advances together: each
+    half-step is one stacked ``eigh`` over the starts still running.  A
+    start stops once a step gains less than 1e-13, or after 60 steps, and
+    keeps its value; its numbers do not depend on the other starts in the
+    stack.  Each start draws u, then v, from its job's seeded stream (the
+    drawn u is never used), so a larger ``iterations`` extends the same
+    sequence of starts.  A job's result can never exceed the largest
+    singular value of its tensor; the remaining gap is reported.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
-    d = tensor.d
+    jobs = list(jobs)
+    best = np.empty(len(jobs))
+    for d in sorted({tensor.d for tensor, _ in jobs}):
+        idx = [i for i, (tensor, _) in enumerate(jobs) if tensor.d == d]
+        best[idx] = _lockstep_search([jobs[i] for i in idx], d, iterations)
+    results = []
+    for (tensor, _), top in zip(jobs, best.tolist()):
+        bound = t_max(tensor)
+        if top > bound + 1e-8:
+            raise RuntimeError(
+                f"product overlap {top!r} exceeded the singular-value bound {bound!r}"
+            )
+        results.append(ProductSearchResult(best=top, gap=bound - top, samples=iterations))
+    return results
+
+
+def _lockstep_search(jobs: list, d: int, iterations: int) -> np.ndarray:
+    """Best overlap of each job of dimension ``d``, all starts in lockstep."""
     flat = gellmann_basis(d)[1:].reshape(d * d - 1, d * d)
     # K with the pairs (ab) and (ce) flattened: A(v) = q(v) @ K.T and
     # B(u) = q(u) @ K for the flattened projector q(x) = conj(x_a) x_b.
-    k_op = flat.T @ tensor.t @ flat
-    rng = np.random.default_rng(seed)
+    # Built job by job: one stacked product holds three temporaries the
+    # size of the whole stack, which showed in the peak RSS of check all.
+    k_op = np.empty((len(jobs), 1, d * d, d * d), dtype=complex)
+    for k, (tensor, _) in zip(k_op, jobs):
+        k[0] = flat.T @ tensor.t @ flat
     starts = []
-    for _ in range(iterations):
-        _random_unit(rng, d)
-        starts.append(_random_unit(rng, d))
-    v = np.array(starts)
+    for _, seed in jobs:
+        rng = np.random.default_rng(seed)
+        for _ in range(iterations):
+            _random_unit(rng, d)
+            starts.append(_random_unit(rng, d))
+    v = np.array(starts).reshape(len(jobs), iterations, d)
     pref = d / (2.0 * (d - 1.0))
-    vals = np.full(iterations, -math.inf)
-    active = np.arange(iterations)
+    vals = np.full((len(jobs), iterations), -math.inf)
+    running = np.ones(vals.shape, dtype=bool)
     for _ in range(60):
-        u = np.linalg.eigh((_projectors(v[active]) @ k_op.T).reshape(-1, d, d))[1][:, :, -1]
-        evals, evecs = np.linalg.eigh((_projectors(u) @ k_op).reshape(-1, d, d))
+        # Each job's K is broadcast over its starts, not copied to each; the
+        # finished jobs leave the stack, the finished starts of the others
+        # are dropped before the eigenproblems.
+        live = np.flatnonzero(running.any(axis=1))
+        k_live = k_op if live.size == len(jobs) else k_op[live]
+        act = running[live]
+        u = v[live]
+        a_op = (_projectors(u) @ k_live.swapaxes(-1, -2))[act]
+        u[act] = np.linalg.eigh(a_op.reshape(-1, d, d))[1][:, :, -1]
+        evals, evecs = np.linalg.eigh((_projectors(u) @ k_live)[act].reshape(-1, d, d))
+        rows, cols = np.nonzero(act)
+        at = (live[rows], cols)
         new = pref * evals[:, -1]
-        old = vals[active]
+        old = vals[at]
         done = new - old < 1e-13
-        vals[active] = np.where(done, np.maximum(old, new), new)
-        v[active] = evecs[:, :, -1]
-        active = active[~done]
-        if active.size == 0:
+        vals[at] = np.where(done, np.maximum(old, new), new)
+        v[at] = evecs[:, :, -1]
+        running[at] = ~done
+        if not running.any():
             break
-    best = float(vals.max())
-    bound = t_max(tensor)
-    if best > bound + 1e-8:
-        raise RuntimeError(
-            f"product overlap {best!r} exceeded the singular-value bound {bound!r}"
-        )
-    return ProductSearchResult(best=best, gap=bound - best, samples=iterations)
+    return vals.max(axis=1)
 
 
 def reference_closed_forms(family: str, n: int | None, parameter: float) -> dict:

@@ -23,6 +23,10 @@ Two routes lead to the identifiers:
   through ``basis.project_traceless``; the (d^2, d, d) basis itself is
   never built.  It is the independent reference for ``evaluate`` and the
   input of the round trips and the product-overlap search.
+
+The tensor and spin routes work on a (G, d, d) stack of coefficient
+matrices, so the checks can pass a whole grid at once; ``correlation_tensor``
+and ``spin_tensor`` are their stacks of one.
 """
 
 from __future__ import annotations
@@ -96,6 +100,36 @@ def _real_guard(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.real)
 
 
+def _joint_blocks(coeffs: np.ndarray) -> np.ndarray:
+    """Joint blocks T of a (G, d, d) stack of normalized coefficient
+    matrices, shape (G, d^2-1, d^2-1).
+
+    The stack rides on the trailing axes of ``project_traceless``, so each
+    state's numbers are those of a stack of one.
+    """
+    d = coeffs.shape[-1]
+    pref = d / (2.0 * (d - 1.0))
+    c = np.moveaxis(coeffs, 0, -1)                         # (d, d, G)
+    q = np.einsum("amg,bng->abmng", c.conj(), c)
+    x = project_traceless(q)                               # (d^2-1, d, d, G)
+    y = project_traceless(np.moveaxis(x, (1, 2), (0, 1)))  # (j, i, G)
+    return _real_guard(pref * y.transpose(2, 1, 0))
+
+
+def _local_vectors(coeffs: np.ndarray) -> tuple:
+    """Local vectors (T_i0, T_0j) of a (G, d, d) coefficient stack, each
+    (G, d^2-1), from the two reduced states alone."""
+    d = coeffs.shape[-1]
+    pref = d / (2.0 * (d - 1.0))
+    m0 = 1.0 / math.sqrt(d * (d - 1) / 2.0)
+    c_h = coeffs.conj().transpose(0, 2, 1)
+    rho_a = coeffs @ c_h
+    rho_b_t = c_h @ coeffs            # transpose of the second reduced state
+    local_a = _real_guard(pref * m0 * project_traceless(rho_a.transpose(2, 1, 0)).T)
+    local_b = _real_guard(pref * m0 * project_traceless(np.moveaxis(rho_b_t, 0, -1)).T)
+    return local_a, local_b
+
+
 def correlation_tensor(state: PureBipartiteState) -> CorrelationTensor:
     """Correlation tensor of a normalized pure state.
 
@@ -103,23 +137,12 @@ def correlation_tensor(state: PureBipartiteState) -> CorrelationTensor:
     matching expectations against the scaled identity on the other side.
     """
     _require_normalized(state)
-    d = state.d
-    c = state.coeff
-    pref = d / (2.0 * (d - 1.0))
-
-    q = np.einsum("am,bn->abmn", c.conj(), c)
-    x = project_traceless(q)                               # (d^2-1, d, d)
-    y = project_traceless(np.moveaxis(x, (1, 2), (0, 1)))  # (j, i)
-    t = _real_guard(pref * y.T)
-
-    m0 = 1.0 / math.sqrt(d * (d - 1) / 2.0)
-    rho_a = c @ c.conj().T
-    rho_b_t = c.conj().T @ c          # transpose of the second reduced state
-    local_a = _real_guard(pref * m0 * project_traceless(rho_a.T))
-    local_b = _real_guard(pref * m0 * project_traceless(rho_b_t))
+    coeffs = state.coeff[None]
+    t = _joint_blocks(coeffs)[0]
+    local_a, local_b = (a[0] for a in _local_vectors(coeffs))
     for a in (t, local_a, local_b):
         a.setflags(write=False)
-    return CorrelationTensor(d=d, t=t, local_a=local_a, local_b=local_b)
+    return CorrelationTensor(d=state.d, t=t, local_a=local_a, local_b=local_b)
 
 
 def tensor_norm(tensor: CorrelationTensor) -> float:
@@ -160,21 +183,31 @@ def von_neumann_entropy(state: PureBipartiteState) -> float:
 
 
 def _entropy_bits(p: np.ndarray) -> float:
-    # p = s^2 can land a few ulp above 1, which would give a tiny negative;
-    # the floor also turns the -0.0 of a single p == 1 into 0.0.
+    # Weights at or below 1e-15 count as zero, so one weight left is a
+    # product state: exactly zero, wherever that weight rounded to.  The
+    # floor keeps a p = s^2 that landed a few ulp above 1 from giving a
+    # tiny negative.
     p = p[p > 1e-15]
+    if p.size == 1:
+        return 0.0
     return max(0.0, float(-np.sum(p * np.log2(p))))
+
+
+def _spin_tensors(coeffs: np.ndarray) -> np.ndarray:
+    """Spin correlation matrices of a (G, d, d) stack of normalized
+    coefficient matrices, shape (G, 3, 3), scaled by 1/N^2, N = d-1."""
+    n = coeffs.shape[-1] - 1
+    mats = np.stack(schwinger_ops(n + 1, "schwinger"))
+    left = coeffs.conj().transpose(0, 2, 1)[:, None] @ mats @ coeffs[:, None]
+    raw = np.sum(left[:, :, None] * mats, axis=(-2, -1))
+    return _real_guard(raw / float(n) ** 2)
 
 
 def spin_tensor(state: PureBipartiteState) -> np.ndarray:
     """3x3 correlation matrix of the integer-spectrum spin components,
     scaled by 1/N^2 so an x-polarized product pair gives unit xx entry."""
     _require_normalized(state)
-    mats = schwinger_ops(state.d, "schwinger")
-    c = state.coeff
-    left = [c.conj().T @ m @ c for m in mats]
-    raw = np.array([[np.sum(li * mj) for mj in mats] for li in left])
-    return _real_guard(raw / float(state.n) ** 2)
+    return _spin_tensors(state.coeff[None])[0]
 
 
 def spin_criterion(tprime: np.ndarray) -> tuple:

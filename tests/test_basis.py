@@ -181,6 +181,20 @@ def test_spin_j_d3_frozen():
     assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]), atol=1e-15)
 
 
+def test_schwinger_ops_are_shared_read_only_arrays():
+    for d in (2, 5, 41):
+        for convention in ("schwinger", "spin_j"):
+            first = schwinger_ops(d, convention)
+            again = schwinger_ops(np.int64(d), convention)
+            assert all(a is b for a, b in zip(first, again))
+            assert not any(a.flags.writeable for a in first)
+    assert all(a is b for a, b in zip(schwinger_ops(3), schwinger_ops(3, "schwinger")))
+    with pytest.raises(ValueError):
+        schwinger_ops(1)
+    with pytest.raises(ValueError):
+        schwinger_ops(3, "holstein")
+
+
 def test_schwinger_d4_sz():
     _, _, sz = schwinger_ops(4, "schwinger")
     assert np.allclose(sz, np.diag([3.0, 1.0, -1.0, -3.0]), atol=1e-15)

@@ -53,6 +53,27 @@ def test_reconstruction_scale_limit():
         oracle.reconstruct_density(big)
 
 
+def _einsum_reconstruction(tensor):
+    """The three-operand einsum contraction that ``reconstruct_density``
+    replaced, with a contraction path so that d = 12 stays fast."""
+    d = tensor.d
+    el = gellmann_basis(d)
+    m0 = el[0]
+    body = np.einsum("ij,iab,jcd->acbd", tensor.t, el[1:], el[1:], optimize=True)
+    body = body + np.einsum("i,iab,cd->acbd", (d - 1.0) * tensor.local_a, el[1:], m0, optimize=True)
+    body = body + np.einsum("j,ab,jcd->acbd", (d - 1.0) * tensor.local_b, m0, el[1:], optimize=True)
+    rho = np.kron(m0, m0).astype(complex) + body.reshape(d * d, d * d)
+    return (d - 1.0) / (2.0 * d) * rho
+
+
+@pytest.mark.parametrize("d", range(2, oracle.RECONSTRUCT_MAX_D + 1))
+def test_reconstruction_matches_einsum_contraction(d):
+    rng = np.random.default_rng(20 + d)
+    for state in (oracle.random_pure_state(d - 1, rng), szsz_state(d - 1, 0.3)):
+        ten = correlation_tensor(state)
+        assert np.max(np.abs(oracle.reconstruct_density(ten) - _einsum_reconstruction(ten))) <= 1e-15
+
+
 def test_search_product_state_is_its_own_maximizer():
     rng = np.random.default_rng(2)
     ten = correlation_tensor(oracle.random_product_state(2, rng))
@@ -126,6 +147,19 @@ def _per_start_search(tensor, iterations, seed):
     return best, steps
 
 
+def _counting_eigh(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record how many matrices each call solves."""
+    eigh = np.linalg.eigh
+    solved = []
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return solved
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_search_matches_per_start_reference(n):
     rng = np.random.default_rng(100 + n)
@@ -147,19 +181,42 @@ def test_search_stops_each_start_on_its_own(monkeypatch):
     for n in (1, 2, 3, 4):
         ten = correlation_tensor(oracle.random_pure_state(n, rng))
         cases.append((ten, _per_start_search(ten, 8, 0)[1]))
-    eigh = np.linalg.eigh
-    solved = []
-
-    def counting_eigh(a, *args, **kwargs):
-        solved.append(len(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    solved = _counting_eigh(monkeypatch)
     for ten, steps in cases:
         assert steps < 50 * 8
         solved.clear()
         oracle.product_overlap_search(ten, iterations=8, seed=0)
         assert abs(sum(solved) - 2 * steps) <= 2 * 8
+
+
+def _bits(res):
+    return res.best.hex(), res.gap.hex(), res.samples
+
+
+@pytest.mark.parametrize("iterations", range(1, 9))
+def test_searches_match_one_job_calls(iterations, monkeypatch):
+    # Jobs of d = 2..6 in mixed order, some sharing a tensor or a seed: the
+    # lockstep stack gives every job the numbers of its own call, in order,
+    # and solves exactly the eigenproblems the one-job calls solve.
+    rng = np.random.default_rng(40 + iterations)
+    tensors = [correlation_tensor(oracle.random_pure_state(n, rng)) for n in (3, 1, 5, 2, 4, 1, 5)]
+    jobs = [(ten, seed) for seed, ten in enumerate(tensors)] + [(tensors[2], 0), (tensors[4], 9)]
+    solved = _counting_eigh(monkeypatch)
+    one_job = []
+    for ten, seed in jobs:
+        one_job.append(_bits(oracle.product_overlap_search(ten, iterations=iterations, seed=seed)))
+    per_job_matrices = sum(solved)
+    solved.clear()
+    batched = oracle.product_overlap_searches(jobs, iterations=iterations)
+    assert [_bits(res) for res in batched] == one_job
+    assert sum(solved) == per_job_matrices
+
+
+def test_searches_take_no_jobs_and_reject_bad_iterations():
+    assert oracle.product_overlap_searches([], iterations=6) == []
+    ten = correlation_tensor(maximally_entangled(1))
+    with pytest.raises(ValueError):
+        oracle.product_overlap_searches([(ten, 0)], iterations=0)
 
 
 def test_search_best_never_falls_with_more_starts():

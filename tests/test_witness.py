@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from boswit import oracle
-from boswit.basis import gellmann_basis
+from boswit import oracle, witness
+from boswit.basis import gellmann_basis, project_traceless, schwinger_ops
 from boswit.states import (
     PdcEnsemble,
     PureBipartiteState,
@@ -151,6 +151,59 @@ def test_correlation_tensor_builds_no_basis():
     gellmann_basis.cache_clear()
     correlation_tensor(szsz_state(4, 0.3))
     assert gellmann_basis.cache_info().currsize == 0
+
+
+def _per_state_tensor(state):
+    """The single-state tensor route as written before the stacked helpers:
+    (T, local_a, local_b)."""
+    d = state.d
+    c = state.coeff
+    pref = d / (2.0 * (d - 1.0))
+    q = np.einsum("am,bn->abmn", c.conj(), c)
+    x = project_traceless(q)
+    y = project_traceless(np.moveaxis(x, (1, 2), (0, 1)))
+    m0 = 1.0 / math.sqrt(d * (d - 1) / 2.0)
+    rho_a = c @ c.conj().T
+    rho_b_t = c.conj().T @ c
+    return (
+        (pref * y.T).real,
+        (pref * m0 * project_traceless(rho_a.T)).real,
+        (pref * m0 * project_traceless(rho_b_t)).real,
+    )
+
+
+def _per_state_spin(state):
+    """The single-state spin route as written before the stacked helper."""
+    mats = schwinger_ops(state.d, "schwinger")
+    c = state.coeff
+    left = [c.conj().T @ m @ c for m in mats]
+    raw = np.array([[np.sum(li * mj) for mj in mats] for li in left])
+    return (raw / float(state.n) ** 2).real
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stacked_routes_match_single_state_calls(n):
+    rng = np.random.default_rng(60 + n)
+    n_c, n_d = default_photon_outcomes(n)
+    group = [szsz_state(n, float(tau)) for tau in GRID[::9]]
+    group += [maximally_entangled(n), acstark_state(n, 0.2, n_c, n_d).state]
+    group += [oracle.random_pure_state(n, rng) for _ in range(3)]
+    group.append(oracle.random_product_state(n, rng))
+    coeffs = np.stack([state.coeff for state in group])
+    t = witness._joint_blocks(coeffs)
+    local_a, local_b = witness._local_vectors(coeffs)
+    spin = witness._spin_tensors(coeffs)
+    for g, state in enumerate(group):
+        one = correlation_tensor(state)
+        for stacked, single, before in zip((t[g], local_a[g], local_b[g]), (one.t, one.local_a, one.local_b), _per_state_tensor(state)):
+            assert _same_bits(stacked, single) and _same_bits(single, before), (n, g)
+        assert _same_bits(spin[g], spin_tensor(state)), (n, g)
+        assert _same_bits(spin[g], _per_state_spin(state)), (n, g)
 
 
 def test_spin_tensor_elements_on_grid():
@@ -344,15 +397,15 @@ def test_product_states_pinned_up_to_the_hard_cap():
     rng = np.random.default_rng(40)
     for n in range(1, N_HARD_CAP + 1):
         # szsz at tau = 0 is |0)|0), whose one Schmidt weight lands a few ulp
-        # off 1: above it (N = 2, 5, 8, ...) the entropy is floored at zero,
-        # below it (N = 3, 4, ...) it stays a few ulp positive.
+        # above 1 (N = 2, 5, 8, ...) or below it (N = 3, 4, ...); either way
+        # it is the only weight, and the entropy is exactly zero.
         basis_product = szsz_state(n, 0.0)
         for state in (oracle.random_product_state(n, rng), basis_product):
             rep = evaluate(state)
             assert rep.t_norm == pytest.approx(1.0, abs=1e-12), n
             assert rep.t_max == pytest.approx(1.0, abs=1e-12), n
             assert not rep.entangled_by_norm and not rep.entangled_by_eps, n
-        assert 0.0 <= rep.entropy < 1e-14, n
+            assert rep.entropy == 0.0, n
 
 
 def test_maxent_epsilon_computed_over_the_pdc_truncation():
