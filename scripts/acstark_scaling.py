@@ -21,13 +21,13 @@ def main() -> None:
 
     sweep = SweepConfig("acstark", tuple(range(2, 8)))
     path = out_dir / "acstark_time_sweep.csv"
-    path.write_text(rows_to_csv(run_family(sweep).rows), encoding="utf-8")
+    path.write_text(rows_to_csv(run_family(sweep).columns), encoding="utf-8")
     print(f"wrote {path}")
 
     n_top = 40 if full else 20
     short = SweepConfig("acstark", tuple(range(2, n_top + 1)), t_over_n=2.5, allow_large=full)
     path = out_dir / "acstark_short_time.csv"
-    path.write_text(rows_to_csv(run_family(short).rows), encoding="utf-8")
+    path.write_text(rows_to_csv(run_family(short).columns), encoding="utf-8")
     print(f"wrote {path}")
 
 

@@ -18,7 +18,7 @@ def main() -> None:
     result = run_family(SweepConfig("pdc", tuple(range(1, 9))))
 
     path = out_dir / "pdc_rows.csv"
-    path.write_text(rows_to_csv(result.rows), encoding="utf-8")
+    path.write_text(rows_to_csv(result.columns), encoding="utf-8")
     print(f"wrote {path}")
 
     lines = ["squeezing,eps_avg_series,eps_avg_closed,weight_sum,n_trunc"]

@@ -17,7 +17,7 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = SweepConfig("szsz", tuple(range(1, 9)))
     path = out_dir / "szsz_identifiers.csv"
-    path.write_text(rows_to_csv(run_family(config).rows), encoding="utf-8")
+    path.write_text(rows_to_csv(run_family(config).columns), encoding="utf-8")
     print(f"wrote {path}")
 
 

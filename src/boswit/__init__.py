@@ -38,7 +38,6 @@ from .sweep import (
     GridSpec,
     SweepConfig,
     SweepResult,
-    SweepRow,
     run_family,
 )
 from .witness import (
@@ -48,6 +47,7 @@ from .witness import (
     correlation_tensor,
     epsilon,
     evaluate,
+    evaluate_many,
     spin_criterion,
     spin_tensor,
     t_max,

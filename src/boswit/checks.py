@@ -154,18 +154,11 @@ def _roundtrip_checks(rng, seed: int) -> list:
     mismatches = 0
     total = 0
     for n in range(1, 6):
-        for tau in np.linspace(0.0, math.pi / 2.0, 9, endpoint=False):
-            state = states.szsz_state(n, float(tau))
-            rep = witness.evaluate(state)
-            if rep.entangled_by_eps and not oracle.pure_entanglement_oracle(state):
-                mismatches += 1
-            total += 1
-        for _ in range(10):
-            state = oracle.random_pure_state(n, rng)
-            rep = witness.evaluate(state)
-            if rep.entangled_by_eps and not oracle.pure_entanglement_oracle(state):
-                mismatches += 1
-            total += 1
+        members = [states.szsz_state(n, float(tau)) for tau in np.linspace(0.0, math.pi / 2.0, 9, endpoint=False)]
+        members += [oracle.random_pure_state(n, rng) for _ in range(10)]
+        flagged = witness.evaluate_many(np.stack([state.coeff for state in members]))["entangled_by_eps"]
+        mismatches += sum(not oracle.pure_entanglement_oracle(state) for state, hit in zip(members, flagged) if hit)
+        total += len(members)
     reports.append(OracleReport("criterion_implies_schmidt_rank", float(mismatches), mismatches == 0, samples=total))
     return reports
 

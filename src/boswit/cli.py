@@ -29,16 +29,14 @@ def _parse_n_list(text: str) -> tuple:
         tok = tok.strip()
         if not tok:
             continue
-        if "-" in tok:
-            a, b = tok.split("-", 1)
-            lo, hi = int(a), int(b)
-            if hi < lo:
-                raise ValueError(f"empty range {tok!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(tok))
-    if not out:
-        raise ValueError("empty boson-number list")
+        a, dash, b = tok.partition("-")
+        try:
+            lo, hi = int(a), int(b if dash else a)
+        except ValueError:
+            raise ValueError(f"--n takes boson numbers or lo-hi ranges, got {tok!r}") from None
+        if hi < lo:
+            raise ValueError(f"empty range {tok!r}")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
@@ -95,9 +93,9 @@ def _cmd_sweep(args) -> int:
     )
     result = run_family(config)
     if args.format == "json":
-        text = rows_to_json(result.rows, aggregates=result.aggregates, note=result.note)
+        text = rows_to_json(result.columns, aggregates=result.aggregates, note=result.note)
     else:
-        text = rows_to_csv(result.rows, comment=result.note)
+        text = rows_to_csv(result.columns, comment=result.note)
     write_text(text, args.out)
     return 0
 

@@ -1,15 +1,16 @@
 """Parameter sweeps over the state families, with deterministic output.
 
-``run_family`` is the single entry point.  It evaluates serially in a fixed
-row order, and floats are printed with 12 significant digits, so identical
-configurations yield byte-identical files.
+``run_family`` is the single entry point.  It evaluates each N's states as
+stacks through ``witness.evaluate_many`` and returns one table of columns in
+a fixed row order; floats are printed with 12 significant digits, so
+identical configurations yield byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import operator
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -22,7 +23,6 @@ from .oracle import pdc_epsilon_average
 __all__ = [
     "GridSpec",
     "SweepConfig",
-    "SweepRow",
     "SweepResult",
     "PdcAggregate",
     "run_family",
@@ -98,22 +98,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    family: str
-    n: int
-    param: float
-    t_norm: float
-    t_max: float
-    epsilon: float
-    bloch_sq: float
-    entropy: float
-    spin_t_norm: float
-    spin_t_max: float
-    spin_epsilon: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class PdcAggregate:
     squeezing: float
     eps_avg_series: float
@@ -124,9 +108,10 @@ class PdcAggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Rows of one sweep; ``aggregates`` and ``note`` are set for ``pdc`` only."""
+    """One sweep: ``columns`` maps each of ``CSV_COLUMNS`` to one array of
+    rows; ``aggregates`` and ``note`` are set for ``pdc`` only."""
 
-    rows: list
+    columns: dict
     aggregates: list | None = None
     note: str | None = None
 
@@ -138,7 +123,7 @@ def _grid(config: SweepConfig) -> GridSpec:
 def _szsz_points(config: SweepConfig, n: int):
     for tau in _grid(config).points():
         tau = float(tau)
-        yield tau, witness.evaluate(states.szsz_state(n, tau)), 1.0
+        yield tau, states.szsz_state(n, tau), 1.0
 
 
 def _acstark_points(config: SweepConfig, n: int):
@@ -146,20 +131,20 @@ def _acstark_points(config: SweepConfig, n: int):
     times = (config.t_over_n / n,) if config.t_over_n is not None else _grid(config).points()
     for t in times:
         outcome = states.acstark_state(n, float(t), n_c, n_d)
-        yield float(t), witness.evaluate(outcome.state), outcome.norm_weight
+        yield float(t), outcome.state, outcome.norm_weight
 
 
 def _pdc_points(config: SweepConfig, n: int):
     # The N-pair component is the same state at every squeezing; only its
     # post-selection probability changes.
-    report = witness.evaluate(states.maximally_entangled(n))
+    state = states.maximally_entangled(n)
     for k in _grid(config).points():
         k = float(k)
-        yield k, report, states.pdc_weight(n, k)
+        yield k, state, states.pdc_weight(n, k)
 
 
 def _maxent_points(config: SweepConfig, n: int):
-    yield 0.0, witness.evaluate(states.maximally_entangled(n)), 1.0
+    yield 0.0, states.maximally_entangled(n), 1.0
 
 
 def _pdc_aggregates(config: SweepConfig) -> list:
@@ -185,7 +170,7 @@ def _pdc_aggregates(config: SweepConfig) -> list:
 
 @dataclass(frozen=True)
 class _Family:
-    # (config, N) -> (parameter, report, weight) for each of N's points.
+    # (config, N) -> (parameter, state, weight) for each of N's points.
     points: Callable
     n_values: tuple = tuple(range(1, 9))
     grid: GridSpec | None = None                    # default parameter grid
@@ -245,6 +230,8 @@ def _check_inputs(config: SweepConfig, family: _Family) -> None:
 
 
 def _validate_n_values(config: SweepConfig) -> None:
+    if not config.n_values:
+        raise ValueError("empty boson-number list")
     for n in config.n_values:
         if n < 1:
             raise ValueError(f"boson numbers must be >= 1, got {n}")
@@ -256,21 +243,10 @@ def _validate_n_values(config: SweepConfig) -> None:
             )
 
 
-def _make_row(family: str, n: int, param: float, rep: witness.CriterionReport, weight: float) -> SweepRow:
-    return SweepRow(
-        family=family,
-        n=int(n),
-        param=float(param),
-        t_norm=rep.t_norm,
-        t_max=rep.t_max,
-        epsilon=rep.epsilon,
-        bloch_sq=rep.bloch_sq_a,
-        entropy=rep.entropy,
-        spin_t_norm=rep.spin_t_norm,
-        spin_t_max=rep.spin_t_max,
-        spin_epsilon=rep.spin_epsilon,
-        weight=float(weight),
-    )
+# Bounds each evaluate_many stack to this many coefficient entries (states
+# times d^2), so a sweep's memory stays flat in the grid size: the stacked
+# spin products take ~150 d^2 bytes per state.
+_CHUNK_ENTRIES = 2**12
 
 
 def run_family(config: SweepConfig) -> SweepResult:
@@ -285,33 +261,44 @@ def run_family(config: SweepConfig) -> SweepResult:
     _check_inputs(config, family)
     _validate_n_values(config)
     aggregates = family.aggregates(config) if family.aggregates is not None else None
-    rows = [
-        _make_row(config.family, n, param, report, weight)
-        for n in config.n_values
-        for param, report, weight in family.points(config, n)
-    ]
+    # One float block per chunk holds every column after family; N is exact.
+    blocks = []
+    for n in config.n_values:
+        points = family.points(config, n)
+        while chunk := list(itertools.islice(points, max(1, _CHUNK_ENTRIES // (n + 1) ** 2))):
+            params, members, weights = zip(*chunk)
+            found = witness.evaluate_many(np.stack([state.coeff for state in members]))
+            found.update(n=np.full(len(chunk), n), param=params, weight=weights)
+            blocks.append(np.column_stack([found[name] for name in CSV_COLUMNS[1:]]))
+    table = np.concatenate(blocks)
     if family.param_major:
-        rows.sort(key=lambda row: row.param)  # stable: N order kept per parameter
-    return SweepResult(rows, aggregates, family.note)
+        # Column 1 is param; a stable sort keeps the N order per parameter.
+        table = table[np.argsort(table[:, 1], kind="stable")]
+    columns = {"family": np.full(len(table), config.family), **dict(zip(CSV_COLUMNS[1:], table.T))}
+    columns["n"] = columns["n"].astype(int)
+    return SweepResult(columns, aggregates, family.note)
 
 
 # One CSV line: family, N, then every float with 12 significant digits.
 _CSV_ROW = ",".join(["%s", "%d"] + ["%.12g"] * (len(CSV_COLUMNS) - 2))
-_csv_fields = operator.attrgetter(*CSV_COLUMNS)
 
 
-def rows_to_csv(rows, comment: str | None = None) -> str:
+def _records(columns: dict):
+    """The table's rows as tuples of Python values, in ``CSV_COLUMNS`` order."""
+    return zip(*(columns[name].tolist() for name in CSV_COLUMNS))
+
+
+def rows_to_csv(columns: dict, comment: str | None = None) -> str:
     lines = []
     if comment:
         lines.append(f"# {comment}")
     lines.append(",".join(CSV_COLUMNS))
-    for r in rows:
-        lines.append(_CSV_ROW % _csv_fields(r))
+    lines.extend(_CSV_ROW % row for row in _records(columns))
     return "\n".join(lines) + "\n"
 
 
-def rows_to_json(rows, aggregates=None, note: str | None = None) -> str:
-    payload: dict = {"rows": [asdict(r) for r in rows]}
+def rows_to_json(columns: dict, aggregates=None, note: str | None = None) -> str:
+    payload: dict = {"rows": [dict(zip(CSV_COLUMNS, row)) for row in _records(columns)]}
     if aggregates is not None:
         payload["aggregates"] = [asdict(a) for a in aggregates]
     if note:

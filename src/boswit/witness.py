@@ -13,7 +13,7 @@ value, and their ratio; each exceeding one certifies entanglement.
 
 Two routes lead to the identifiers:
 
-* ``evaluate`` works from the Schmidt spectrum p of c, from one d x d SVD.
+* ``evaluate_many`` works from the Schmidt spectrum p of c, one d x d SVD.
   Local unitaries rotate the traceless coordinates orthogonally, so every
   identifier depends on p alone.  In the Schmidt basis the tensor is block
   diagonal: the (d-1) x (d-1) diagonal-generator block
@@ -24,9 +24,9 @@ Two routes lead to the identifiers:
   never built.  It is the independent reference for ``evaluate`` and the
   input of the round trips and the product-overlap search.
 
-The tensor and spin routes work on a (G, d, d) stack of coefficient
-matrices, so the checks can pass a whole grid at once; ``correlation_tensor``
-and ``spin_tensor`` are their stacks of one.
+Both routes work on a (G, d, d) stack of coefficient matrices, so a sweep or
+a check passes a whole grid at once; ``evaluate``, ``correlation_tensor``
+and ``spin_tensor`` are their stacks of one, with the same bits per state.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "spin_tensor",
     "spin_criterion",
     "evaluate",
+    "evaluate_many",
 ]
 
 _IMAG_TOL = 1e-10
@@ -79,18 +80,20 @@ class CriterionReport:
     epsilon: float
     entangled_by_norm: bool
     entangled_by_eps: bool
-    bloch_sq_a: float
-    bloch_sq_b: float
+    bloch_sq: float
     entropy: float
     spin_t_norm: float
     spin_t_max: float
     spin_epsilon: float
 
 
-def _require_normalized(state: PureBipartiteState) -> None:
-    nrm = float(np.linalg.norm(state.coeff))
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ValueError(f"state is not normalized: |c| = {nrm!r}")
+def _require_normalized(coeffs: np.ndarray) -> np.ndarray:
+    """Return a (G, d, d) coefficient stack once every state in it has unit norm."""
+    nrm = np.linalg.norm(coeffs, axis=(1, 2))
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= _NORM_TOL))  # NaN is off unit norm too
+    if bad.size:
+        raise ValueError(f"state is not normalized: |c| = {float(nrm[bad[0]])!r} at stack index {bad[0]}")
+    return coeffs
 
 
 def _real_guard(arr: np.ndarray) -> np.ndarray:
@@ -136,8 +139,7 @@ def correlation_tensor(state: PureBipartiteState) -> CorrelationTensor:
     T_ij = d/(2(d-1)) <M_i x M_j> for i, j >= 1; the locals are the
     matching expectations against the scaled identity on the other side.
     """
-    _require_normalized(state)
-    coeffs = state.coeff[None]
+    coeffs = _require_normalized(state.coeff[None])
     t = _joint_blocks(coeffs)[0]
     local_a, local_b = (a[0] for a in _local_vectors(coeffs))
     for a in (t, local_a, local_b):
@@ -177,20 +179,23 @@ def bloch_vector(tensor: CorrelationTensor, side: str) -> tuple:
 
 def von_neumann_entropy(state: PureBipartiteState) -> float:
     """Entanglement entropy in bits from the Schmidt spectrum of c."""
-    _require_normalized(state)
-    svals = np.linalg.svd(state.coeff, compute_uv=False)
-    return _entropy_bits(svals * svals)
+    return evaluate(state).entropy
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    # Weights at or below 1e-15 count as zero, so one weight left is a
-    # product state: exactly zero, wherever that weight rounded to.  The
-    # floor keeps a p = s^2 that landed a few ulp above 1 from giving a
-    # tiny negative.
-    p = p[p > 1e-15]
-    if p.size == 1:
-        return 0.0
-    return max(0.0, float(-np.sum(p * np.log2(p))))
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Entropies in bits of the rows of a (G, d) stack of descending Schmidt
+    weights.  Weights at or below 1e-15 count as zero, so one weight left is
+    a product state: exactly zero, wherever that weight rounded to.  The
+    floor keeps a p = s^2 that landed a few ulp above 1 from giving a tiny
+    negative.  The kept weights are a prefix of each row; summing rows in
+    groups of one prefix length keeps padding zeros out of a sum."""
+    kept = np.count_nonzero(p > 1e-15, axis=1)
+    bits = np.zeros(len(p))
+    for k in set(kept[kept > 1].tolist()):
+        rows = kept == k
+        q = p[rows, :k]
+        bits[rows] = np.maximum(0.0, -np.sum(q * np.log2(q), axis=1))
+    return bits
 
 
 def _spin_tensors(coeffs: np.ndarray) -> np.ndarray:
@@ -206,8 +211,17 @@ def _spin_tensors(coeffs: np.ndarray) -> np.ndarray:
 def spin_tensor(state: PureBipartiteState) -> np.ndarray:
     """3x3 correlation matrix of the integer-spectrum spin components,
     scaled by 1/N^2 so an x-polarized product pair gives unit xx entry."""
-    _require_normalized(state)
-    return _spin_tensors(state.coeff[None])[0]
+    coeffs = _require_normalized(state.coeff[None])
+    return _spin_tensors(coeffs)[0]
+
+
+def _spin_identifiers(tps: np.ndarray) -> tuple:
+    """Squared norm, largest singular value and their ratio for each 3x3
+    matrix of a (G, 3, 3) stack; all three are zero for a zero matrix."""
+    norm = np.sum(tps * tps, axis=(1, 2))
+    top = np.linalg.svd(tps, compute_uv=False)[:, 0]
+    ratio = np.divide(norm, top, out=np.zeros_like(norm), where=top > 0.0)
+    return norm, top, ratio
 
 
 def spin_criterion(tprime: np.ndarray) -> tuple:
@@ -216,55 +230,62 @@ def spin_criterion(tprime: np.ndarray) -> tuple:
     tprime = np.asarray(tprime, dtype=float)
     if not np.any(tprime):
         raise ValueError("degenerate tensor: all spin correlations vanish")
-    norm = float(np.sum(tprime * tprime))
-    top = float(np.linalg.svd(tprime, compute_uv=False)[0])
-    return norm, top, norm / top
+    return tuple(float(col[0]) for col in _spin_identifiers(tprime[None]))
 
 
-def evaluate(state: PureBipartiteState) -> CriterionReport:
-    """Evaluate every identifier on one state, from its Schmidt spectrum.
+def evaluate_many(coeffs: np.ndarray) -> dict:
+    """Evaluate every identifier on a (G, d, d) stack of coefficient
+    matrices, from their Schmidt spectra.
 
-    With Schmidt coefficients s and p = s^2, the tensor's singular values
-    are 2 pref s_i s_j (i < j, each twice) and the eigenvalues of the
-    positive semidefinite diagonal-generator block.  The block's nonzero
-    eigenvalues are those of 2 pref (diag(p) - sqrt(p) sqrt(p)^T / d), whose
-    largest Rayleigh quotient on the span of the two top Schmidt levels is
-    at least 2 pref s_1 s_2, with equality only at p_1 = p_2; so the block's
-    top eigenvalue is t_max.  Both sides share one spectrum, so their Bloch
-    lengths agree.
+    Returns one length-G array per ``CriterionReport`` field, keyed by the
+    field name.  With Schmidt coefficients s and p = s^2, the tensor's
+    singular values are 2 pref s_i s_j (i < j, each twice) and the
+    eigenvalues of the positive semidefinite diagonal-generator block.  The
+    block's nonzero eigenvalues are those of
+    2 pref (diag(p) - sqrt(p) sqrt(p)^T / d), whose largest Rayleigh
+    quotient on the span of the two top Schmidt levels is at least
+    2 pref s_1 s_2, with equality only at p_1 = p_2; so the block's top
+    eigenvalue is t_max.  Both sides share one spectrum, so one Bloch
+    length serves both.
 
     A state whose spin correlations all vanish exactly gets zero spin
     identifiers (the three-operator criterion detects nothing there).
     """
-    _require_normalized(state)
-    d = state.d
+    _require_normalized(coeffs)
+    d = coeffs.shape[-1]
     pref = d / (2.0 * (d - 1.0))
-    s = np.linalg.svd(state.coeff, compute_uv=False)
+    s = np.linalg.svd(coeffs, compute_uv=False)
     p = s * s
     w = diagonal_weights(d)
-    block = pref * (w * p) @ w.T
+    block = pref * (w * p[:, None]) @ w.T
     # The pair entries add 2 (2 pref)^2 sum_{i<j} p_i p_j = 4 pref^2 (1 - sum p^2).
-    tn = float(np.sum(block * block)) + 4.0 * pref * pref * (1.0 - float(p @ p))
-    tm = float(np.linalg.eigvalsh(block)[-1])
-    if not tm > 0.0:
+    # A matmul forms sum p^2 with the bits of a 1-D dot product.
+    sum_p2 = (p[:, None] @ p[:, :, None])[:, 0, 0]
+    tn = np.sum(block * block, axis=(1, 2)) + 4.0 * pref * pref * (1.0 - sum_p2)
+    tm = np.linalg.eigvalsh(block)[:, -1]
+    if not np.all(tm > 0.0):
         raise ValueError("degenerate tensor: all joint correlations vanish")
     eps = tn / tm
     # Equals (d sum p^2 - 1)/(d - 1) but cannot come out negative.  Like the
     # traceless projection, centring on the mean ignores rounding in sum p,
     # so an equal-weight spectrum gives exactly zero.
-    bloch = d / (d - 1.0) * float(np.sum((p - p.mean()) ** 2))
-    tp = spin_tensor(state)
-    stn, stm, seps = spin_criterion(tp) if np.any(tp) else (0.0, 0.0, 0.0)
-    return CriterionReport(
-        t_norm=tn,
-        t_max=tm,
-        epsilon=eps,
-        entangled_by_norm=tn > 1.0 + _FLAG_TOL,
-        entangled_by_eps=eps > 1.0 + _FLAG_TOL,
-        bloch_sq_a=bloch,
-        bloch_sq_b=bloch,
-        entropy=_entropy_bits(p),
-        spin_t_norm=stn,
-        spin_t_max=stm,
-        spin_epsilon=seps,
-    )
+    bloch = d / (d - 1.0) * np.sum((p - p.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    stn, stm, seps = _spin_identifiers(_spin_tensors(coeffs))
+    return {
+        "t_norm": tn,
+        "t_max": tm,
+        "epsilon": eps,
+        "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
+        "entangled_by_eps": eps > 1.0 + _FLAG_TOL,
+        "bloch_sq": bloch,
+        "entropy": _entropy_bits(p),
+        "spin_t_norm": stn,
+        "spin_t_max": stm,
+        "spin_epsilon": seps,
+    }
+
+
+def evaluate(state: PureBipartiteState) -> CriterionReport:
+    """Every identifier of one state: ``evaluate_many`` on a stack of one."""
+    columns = evaluate_many(state.coeff[None])
+    return CriterionReport(**{name: col[0].item() for name, col in columns.items()})

@@ -1,5 +1,3 @@
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -37,25 +35,11 @@ def test_product_search_bound_matches_a_per_job_loop(seed):
     assert rep.passed and passed
 
 
-# Runs its arguments as a child and prints the child's exit code and peak RSS.
-_PEAK_RSS = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_check_all_peak_memory():
-    # A child's ru_maxrss starts from the resident size of the process that
-    # spawned it, so the check runs under a small helper, not under pytest.
+def test_check_all_peak_memory(boswit_peak_rss):
     # The check itself peaks near 43 MB; building the joint blocks of the
     # N = 1..8 Bloch stacks, which that check does not read, takes it to
     # ~68 MB.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "boswit.cli", "check", "all", "--seed", "7"]
-    out = subprocess.run(argv, capture_output=True, env=env, check=True, text=True).stdout
-    code, peak_kib = map(int, out.split())
+    code, peak_mb = boswit_peak_rss("check", "all", "--seed", "7")
     assert code == 0
-    assert peak_kib / 1024 < 55
+    assert peak_mb < 55

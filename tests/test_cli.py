@@ -89,6 +89,8 @@ def test_unread_sweep_inputs_exit_2(argv, capsys):
         (["sweep", "pdc", "--format", "json", "--K", "0.05:1e308:2"], "squeezing 1e+308"),
         (["check", "appendix", "--d", "7"], "'appendix'"),
         (["check", "closed-forms", "--d", "5"], "'closed-forms'"),
+        (["sweep", "maxent", "--n", "-1"], "--n takes boson numbers or lo-hi ranges, got '-1'"),
+        (["sweep", "maxent", "--n", "3-"], "--n takes boson numbers or lo-hi ranges, got '3-'"),
     ],
 )
 def test_bad_input_exits_2_naming_it(argv, named, capsys):

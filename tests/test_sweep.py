@@ -1,10 +1,14 @@
+import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from boswit.states import pdc_weight
+from boswit import sweep
+from boswit.cli import main
+from boswit.states import pdc_weight, szsz_state
 from boswit.sweep import (
     CSV_COLUMNS,
     GridSpec,
@@ -14,6 +18,7 @@ from boswit.sweep import (
     rows_to_json,
     run_family,
 )
+from boswit.witness import evaluate, evaluate_many
 
 SMALL_GRID = GridSpec(0.0, math.pi / 2, 8)
 
@@ -46,61 +51,63 @@ def test_non_finite_t_over_n_rejected(value):
 
 
 def test_szsz_rows_ordered_and_consistent():
-    rows = run_family(SweepConfig("szsz", (1, 2), grid=SMALL_GRID)).rows
-    assert len(rows) == 16
-    assert [r.n for r in rows] == [1] * 8 + [2] * 8
-    taus = [r.param for r in rows[:8]]
+    cols = run_family(SweepConfig("szsz", (1, 2), grid=SMALL_GRID)).columns
+    assert set(cols) == set(CSV_COLUMNS)
+    assert all(len(col) == 16 for col in cols.values())
+    assert cols["n"].tolist() == [1] * 8 + [2] * 8
+    assert cols["family"].tolist() == ["szsz"] * 16
+    taus = cols["param"][:8].tolist()
     assert taus == sorted(taus)
-    for r in rows:
-        assert r.epsilon * r.t_max == pytest.approx(r.t_norm, abs=1e-9)
-        assert r.weight == 1.0
-    first = rows[0]
-    assert first.param == 0.0
-    assert first.t_norm == pytest.approx(1.0, abs=1e-12)
-    assert first.epsilon == pytest.approx(1.0, abs=1e-12)
-    assert first.entropy == pytest.approx(0.0, abs=1e-12)
-    assert first.bloch_sq == pytest.approx(1.0, abs=1e-12)
+    for eps, tm, tn, weight in zip(cols["epsilon"], cols["t_max"], cols["t_norm"], cols["weight"]):
+        assert eps * tm == pytest.approx(tn, abs=1e-9)
+        assert weight == 1.0
+    assert cols["param"][0] == 0.0
+    assert cols["t_norm"][0] == pytest.approx(1.0, abs=1e-12)
+    assert cols["epsilon"][0] == pytest.approx(1.0, abs=1e-12)
+    assert cols["entropy"][0] == pytest.approx(0.0, abs=1e-12)
+    assert cols["bloch_sq"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_maxent_rows():
-    rows = run_family(SweepConfig("maxent", (1, 2, 3))).rows
-    assert [r.n for r in rows] == [1, 2, 3]
-    for r in rows:
-        assert r.epsilon == pytest.approx(r.n + 2, abs=1e-9)
-        assert r.entropy == pytest.approx(math.log2(r.n + 1), abs=1e-12)
+    cols = run_family(SweepConfig("maxent", (1, 2, 3))).columns
+    assert cols["n"].tolist() == [1, 2, 3]
+    for n, eps, entropy in zip(cols["n"], cols["epsilon"], cols["entropy"]):
+        assert eps == pytest.approx(n + 2, abs=1e-9)
+        assert entropy == pytest.approx(math.log2(n + 1), abs=1e-12)
 
 
 def test_acstark_default_outcomes_and_weight():
-    rows = run_family(SweepConfig("acstark", (2,), grid=GridSpec(0.0, 0.4, 4))).rows
-    assert len(rows) == 4
-    assert rows[0].weight == pytest.approx(0.25, rel=1e-12)
-    assert rows[0].epsilon == pytest.approx(1.0, abs=1e-10)
-    assert all(r.epsilon > 1.0 for r in rows[1:])
+    cols = run_family(SweepConfig("acstark", (2,), grid=GridSpec(0.0, 0.4, 4))).columns
+    assert len(cols["n"]) == 4
+    assert cols["weight"][0] == pytest.approx(0.25, rel=1e-12)
+    assert cols["epsilon"][0] == pytest.approx(1.0, abs=1e-10)
+    assert all(eps > 1.0 for eps in cols["epsilon"][1:])
 
 
 def test_acstark_t_over_n_mode():
-    rows = run_family(SweepConfig("acstark", (2, 4, 5), t_over_n=2.5)).rows
-    assert [r.param for r in rows] == pytest.approx([1.25, 0.625, 0.5])
-    assert all(r.epsilon > 1.0 for r in rows)
+    cols = run_family(SweepConfig("acstark", (2, 4, 5), t_over_n=2.5)).columns
+    assert cols["param"].tolist() == pytest.approx([1.25, 0.625, 0.5])
+    assert all(eps > 1.0 for eps in cols["epsilon"])
 
 
 def test_acstark_outcome_override():
-    rows = run_family(SweepConfig("acstark", (3,), grid=GridSpec(0.0, 0.4, 2), outcomes=(1, 2))).rows
-    assert len(rows) == 2
+    cols = run_family(SweepConfig("acstark", (3,), grid=GridSpec(0.0, 0.4, 2), outcomes=(1, 2))).columns
+    assert len(cols["n"]) == 2
 
 
 def test_pdc_result():
     grid = GridSpec(0.1, 0.5, 3, inclusive=True)
     res = run_family(SweepConfig("pdc", (1, 2), grid=grid))
     assert len(res.aggregates) == 3
-    assert len(res.rows) == 6
+    assert len(res.columns["n"]) == 6
     for agg in res.aggregates:
         assert abs(agg.eps_avg_series - agg.eps_avg_closed) < 1e-8
         assert agg.eps_avg_series > 1.0
         assert agg.weight_sum == pytest.approx(1.0, abs=1e-8)
-    for row in res.rows:
-        assert row.epsilon == pytest.approx(row.n + 2, abs=1e-9)
-        assert row.weight == pytest.approx(pdc_weight(row.n, row.param), rel=1e-12)
+    cols = res.columns
+    for n, k, eps, weight in zip(cols["n"].tolist(), cols["param"].tolist(), cols["epsilon"], cols["weight"]):
+        assert eps == pytest.approx(n + 2, abs=1e-9)
+        assert weight == pytest.approx(pdc_weight(n, k), rel=1e-12)
 
 
 def test_n_value_caps():
@@ -110,10 +117,12 @@ def test_n_value_caps():
         run_family(SweepConfig("szsz", (41,), grid=SMALL_GRID, allow_large=True))
     with pytest.raises(ValueError):
         run_family(SweepConfig("szsz", (0,), grid=SMALL_GRID))
+    with pytest.raises(ValueError, match="empty boson-number list"):
+        run_family(SweepConfig("szsz", (), grid=SMALL_GRID))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = run_family(SweepConfig("szsz", (21,), grid=GridSpec(0.0, 0.1, 1), allow_large=True)).rows
-    assert rows[0].n == 21
+        cols = run_family(SweepConfig("szsz", (21,), grid=GridSpec(0.0, 0.1, 1), allow_large=True)).columns
+    assert cols["n"].tolist() == [21]
 
 
 def test_unknown_family():
@@ -123,8 +132,8 @@ def test_unknown_family():
 
 def test_csv_shape_and_determinism():
     config = SweepConfig("szsz", (1, 2), grid=SMALL_GRID)
-    text1 = rows_to_csv(run_family(config).rows)
-    text2 = rows_to_csv(run_family(config).rows)
+    text1 = rows_to_csv(run_family(config).columns)
+    text2 = rows_to_csv(run_family(config).columns)
     assert text1 == text2
     lines = text1.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -192,7 +201,50 @@ maxent,3,0,1.66666666667,0.333333333333,5,0,2,0.925925925926,0.555555555556,1.66
 )
 def test_csv_matches_pinned_output(config):
     result = run_family(config)
-    assert rows_to_csv(result.rows, comment=result.note) == PINNED_CSV[config]
+    assert rows_to_csv(result.columns, comment=result.note) == PINNED_CSV[config]
+
+
+# SHA-256 of the CSV that ``boswit sweep <args>`` printed when every row was
+# evaluated on its own: the four default sweeps and the two large acstark runs.
+PINNED_SHA256 = {
+    "szsz": "85d19d5bff3a5ffe3c2afe51483882783d1afecdd430914d0ed4cb424ca59207",
+    "acstark": "defab5e4905784228e2f63a78a231cebd807f87e6308fd8f34c537759d4d31bf",
+    "pdc": "76a7b28d8dfa965d897b1cd669e3e35c0b09744c2adcc31e5d60f0c553b70d3a",
+    "maxent": "8603444d0556be969279967f3a46566da5b701b7db494c6239c92bbc97226694",
+    "acstark --n 2-40 --t-over-n 2.5 --allow-large": "83b21665299427f8133e1fc29052473d183cea1cad25226231587a81d9eb831d",
+    "acstark --n 20 --allow-large": "268b4bd5acdb159f686c1159de2fe2461547d6696ce9d3c99404fd728e7d594d",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_SHA256)
+def test_default_csv_matches_pinned_digest(args, capsys):
+    assert main(["sweep", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[args]
+
+
+def test_stacks_across_a_chunk_boundary_match_single_states():
+    # At N = 40 each evaluate_many call of a sweep holds this many states.
+    per_chunk = sweep._CHUNK_ENTRIES // 41**2
+    grid = GridSpec(0.0, 1.0, 2 * per_chunk + 1)
+    cols = run_family(SweepConfig("szsz", (40,), grid=grid, allow_large=True)).columns
+    members = [szsz_state(40, float(tau)) for tau in grid.points()]
+    stacked = evaluate_many(np.stack([state.coeff for state in members]))
+    for i, state in enumerate(members):
+        rep = evaluate(state)
+        for name, col in stacked.items():
+            assert repr(col[i].item()) == repr(getattr(rep, name)), (i, name)
+            if name in cols:
+                assert repr(cols[name][i].item()) == repr(getattr(rep, name)), (i, name)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_sweep_memory_stays_flat_in_the_grid_size(boswit_peak_rss):
+    # Chunked, this sweep peaks near 35 MB; one stack of all 1,000 N = 40
+    # states needs ~440 MB for its spin products alone.
+    code, peak_mb = boswit_peak_rss("sweep", "szsz", "--n", "40", "--grid", "0:1:1000", "--allow-large")
+    assert code == 0
+    assert peak_mb < 55
 
 
 @pytest.mark.parametrize(
@@ -223,11 +275,11 @@ def test_only_pdc_carries_aggregates_and_note():
 def test_json_mirrors_row_fields():
     import json
 
-    rows = run_family(SweepConfig("szsz", (1,), grid=GridSpec(0.0, 0.2, 2))).rows
-    payload = json.loads(rows_to_json(rows))
+    cols = run_family(SweepConfig("szsz", (1,), grid=GridSpec(0.0, 0.2, 2))).columns
+    payload = json.loads(rows_to_json(cols))
     assert set(payload["rows"][0]) == set(CSV_COLUMNS)
     res = run_family(SweepConfig("pdc", (1,), grid=GridSpec(0.1, 0.2, 2, inclusive=True)))
-    payload = json.loads(rows_to_json(res.rows, aggregates=res.aggregates, note="x"))
+    payload = json.loads(rows_to_json(res.columns, aggregates=res.aggregates, note="x"))
     assert payload["note"] == "x"
     assert set(payload["aggregates"][0]) == {
         "squeezing",

@@ -24,6 +24,7 @@ from boswit.witness import (
     correlation_tensor,
     epsilon,
     evaluate,
+    evaluate_many,
     spin_criterion,
     spin_tensor,
     t_max,
@@ -75,7 +76,7 @@ def test_maximally_entangled_identifiers(n):
     assert rep.t_max == pytest.approx(1.0 / n, abs=1e-12)
     assert rep.t_norm == pytest.approx((n + 2.0) / n, abs=1e-12)
     assert rep.entropy == pytest.approx(math.log2(n + 1), abs=1e-12)
-    assert rep.bloch_sq_a == pytest.approx(0.0, abs=1e-12)
+    assert rep.bloch_sq == pytest.approx(0.0, abs=1e-12)
     assert rep.entangled_by_eps
 
 
@@ -276,6 +277,15 @@ def test_unnormalized_state_rejected():
         von_neumann_entropy(bad)
 
 
+@pytest.mark.parametrize("factor", [1.01, math.nan])
+@pytest.mark.parametrize("index", [0, 3, 6])
+def test_evaluate_many_rejects_an_unnormalized_state_at_any_index(index, factor):
+    coeffs = np.stack([szsz_state(2, 0.2 * k).coeff for k in range(7)])
+    coeffs[index] *= factor
+    with pytest.raises(ValueError, match=f"not normalized: .* at stack index {index}$"):
+        evaluate_many(coeffs)
+
+
 def test_report_consistency_relations():
     rng = np.random.default_rng(21)
     states = [szsz_state(n, t) for n in (1, 3, 5) for t in (0.2, 0.7, 1.4)]
@@ -304,15 +314,15 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _tensor_route(state) -> dict:
-    """The tensor-derived fields and flags of ``evaluate``, from the full tensor."""
+    """The tensor-derived fields and flags of ``evaluate``, from the full
+    tensor; ``bloch_sq`` holds the Bloch lengths of both sides."""
     ten = correlation_tensor(state)
     tn, tm = tensor_norm(ten), t_max(ten)
     return {
         "t_norm": tn,
         "t_max": tm,
         "epsilon": tn / tm,
-        "bloch_sq_a": bloch_vector(ten, "A")[1],
-        "bloch_sq_b": bloch_vector(ten, "B")[1],
+        "bloch_sq": (bloch_vector(ten, "A")[1], bloch_vector(ten, "B")[1]),
         "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
         "entangled_by_eps": tn / tm > 1.0 + _FLAG_TOL,
     }
@@ -325,7 +335,8 @@ def _assert_routes_agree(state, ref=None):
         if isinstance(want, bool):
             assert got == want, key
         else:
-            assert abs(got - want) <= max(1e-12 * abs(want), 1e-14), (key, got, want)
+            for one in np.ravel(want):
+                assert abs(got - one) <= max(1e-12 * abs(one), 1e-14), (key, got, one)
     return rep
 
 
