@@ -32,6 +32,7 @@ from .states import (
     maximally_entangled,
     pdc_weight,
     spin_coherent,
+    szsz_coefficients,
     szsz_state,
 )
 from .sweep import (

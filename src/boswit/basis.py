@@ -228,13 +228,18 @@ def project_traceless(q: np.ndarray) -> np.ndarray:
     """
     d = q.shape[0]
     (si, sj), (ai, aj) = _pairs(d)
+    idx, k, w = _diagonal_terms(d)
     sym = q[si, sj] + q[sj, si]
     anti = 1.0j * (q[aj, ai] - q[ai, aj])
-    idx = np.arange(d)
     diag = q[idx, idx]
     csum = np.cumsum(diag, axis=0)
-    k = np.arange(1, d)
     extra = (1,) * (diag.ndim - 1)
-    w = _level_weights(d).reshape((-1,) + extra)
-    dia = w * (csum[:-1] - k.reshape((-1,) + extra) * diag[1:])
+    dia = w.reshape((-1,) + extra) * (csum[:-1] - k.reshape((-1,) + extra) * diag[1:])
     return np.concatenate([sym, anti, dia], axis=0)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_terms(d: int) -> tuple:
+    """Level indices 0 .. d-1, levels k = 1 .. d-1 and their weights, the
+    per-d constants of ``project_traceless``'s diagonal block."""
+    return _read_only(np.arange(d)), _read_only(np.arange(1, d)), _read_only(_level_weights(d))

@@ -66,17 +66,13 @@ def _appendix_checks() -> list:
     ]
 
 
-def _szsz_stack(n: int, grid) -> np.ndarray:
-    return np.stack([states.szsz_state(n, float(tau)).coeff for tau in grid])
-
-
 def _closed_form_checks() -> list:
     # Each N's states go through the tensor and spin routes as one stack.
     reports = []
     grid = np.linspace(0.0, math.pi / 2.0, 128, endpoint=False)
 
     for n, family in ((1, "szsz_n1"), (2, "szsz_n2")):
-        t = witness._joint_blocks(_szsz_stack(n, grid))
+        t = witness._joint_blocks(states.szsz_coefficients(n, grid))
         norms = np.sum(t * t, axis=(1, 2)).tolist()
         tops = np.linalg.svd(t, compute_uv=False)[:, 0].tolist()
         err = 0.0
@@ -88,14 +84,14 @@ def _closed_form_checks() -> list:
     grid64 = np.linspace(0.0, math.pi / 2.0, 64, endpoint=False)
     err = 0.0
     for n in range(1, 9):
-        local_a, _ = witness._local_vectors(_szsz_stack(n, grid64))
+        local_a, _ = witness._local_vectors(states.szsz_coefficients(n, grid64))
         for tau, vec in zip(grid64, float(n) * local_a):
             err = max(err, abs(float(vec @ vec) - states.bloch_length_closed(n, tau)))
     reports.append(OracleReport("closed_form_bloch_n1_8", err, err <= 1e-9, samples=8 * len(grid64)))
 
     err = 0.0
     for n in range(1, 11):
-        tps = witness._spin_tensors(_szsz_stack(n, grid64))
+        tps = witness._spin_tensors(states.szsz_coefficients(n, grid64))
         for tau, tp in zip(grid64, tps):
             ref = oracle.reference_closed_forms("spin_elements", n, tau)
             expected = np.zeros((3, 3))
@@ -120,6 +116,16 @@ def _family_states(n: int):
     yield "acstark", states.acstark_state(n, 0.2, n_c, n_d).state
 
 
+def _search_jobs(rng, seed: int) -> list:
+    """The 150 (tensor, seed) jobs of ``product_search_bound``: 50 random
+    states of N = 1..5, each searched from three seeded start streams."""
+    jobs = []
+    for _ in range(50):
+        tensor = witness.correlation_tensor(oracle.random_pure_state(int(rng.integers(1, 6)), rng))
+        jobs.extend((tensor, seed + offset) for offset in range(3))
+    return jobs
+
+
 def _roundtrip_checks(rng, seed: int) -> list:
     errs = dict.fromkeys(("szsz", "maxent", "acstark"), 0.0)
     for n in range(1, 7):
@@ -131,10 +137,7 @@ def _roundtrip_checks(rng, seed: int) -> list:
         for label, err in errs.items()
     ]
 
-    jobs = []
-    for _ in range(50):
-        tensor = witness.correlation_tensor(oracle.random_pure_state(int(rng.integers(1, 6)), rng))
-        jobs.extend((tensor, seed + offset) for offset in range(3))
+    jobs = _search_jobs(rng, seed)
     violation = 0.0
     worst_gap = 0.0
     for res in oracle.product_overlap_searches(jobs, iterations=6):

@@ -20,6 +20,7 @@ __all__ = [
     "maximally_entangled",
     "spin_coherent",
     "szsz_state",
+    "szsz_coefficients",
     "acstark_state",
     "default_photon_outcomes",
     "pdc_weight",
@@ -150,11 +151,39 @@ def szsz_state(n: int, tau: float) -> PureBipartiteState:
     interaction phase is reduced modulo pi/2.
     """
     n = _check_n(n)
-    tau = float(tau) % TAU_PERIOD
+    return from_coefficients(n, _szsz_raw(n, float(tau) % TAU_PERIOD))
+
+
+def szsz_coefficients(n: int, taus) -> np.ndarray:
+    """Read-only (G, N+1, N+1) stack of ``szsz_state(n, tau).coeff`` for
+    the G phases ``taus``, bit for bit."""
+    n = _check_n(n)
+    taus = np.asarray(taus, dtype=float).reshape(-1, 1, 1) % TAU_PERIOD
+    raw = _szsz_raw(n, taus)
+    coeff = raw / _row_norms(raw.reshape(-1, (n + 1) ** 2))[:, None, None]
+    coeff.setflags(write=False)
+    return coeff
+
+
+def _szsz_raw(n: int, tau):
+    """Raw amplitudes of ``szsz_state`` at the reduced phase ``tau``, a
+    float or a (G, 1, 1) array of phases."""
     w = _half_binom_row(n)
     m = n - 2.0 * np.arange(n + 1)
-    phase = np.exp(-1.0j * np.outer(m, m) * tau)
-    return from_coefficients(n, np.outer(w, w) * phase)
+    return np.outer(w, w) * np.exp(-1.0j * np.outer(m, m) * tau)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of a complex array.
+
+    Each norm is sqrt(re.re + im.im) from one-row matmuls, which numpy runs
+    as the dot products of ``np.linalg.norm``: a row gets the bits of its
+    own ``np.linalg.norm`` call, whatever else is in the stack.
+    """
+    re = x.real[..., None, :]
+    im = x.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def default_photon_outcomes(n: int) -> tuple:

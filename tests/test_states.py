@@ -19,8 +19,10 @@ from boswit.states import (
     maximally_entangled,
     pdc_weight,
     spin_coherent,
+    szsz_coefficients,
     szsz_state,
 )
+from boswit.sweep import default_grid
 
 
 def test_from_coefficients_bell():
@@ -89,6 +91,17 @@ def test_szsz_tau_reduced_modulo_period():
 def test_szsz_normalized(n, tau):
     st_ = szsz_state(n, tau)
     assert abs(np.linalg.norm(st_.coeff) - 1.0) < 1e-12
+
+
+def test_szsz_coefficients_match_per_state_builds():
+    # The stack of the default sweep grid equals the per-state builds bit
+    # for bit at every N, and is read-only like a state's coefficients.
+    grid = default_grid("szsz").points()
+    for n in range(1, 41):
+        stack = szsz_coefficients(n, grid)
+        assert stack.shape == (len(grid), n + 1, n + 1)
+        assert not stack.flags.writeable
+        assert stack.tobytes() == np.stack([szsz_state(n, tau).coeff for tau in grid]).tobytes()
 
 
 def test_default_photon_outcomes():
