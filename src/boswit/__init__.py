@@ -24,6 +24,7 @@ from .states import (
     AcStarkOutcome,
     PdcEnsemble,
     PureBipartiteState,
+    acstark_coefficients,
     acstark_state,
     bloch_length_closed,
     catalan,

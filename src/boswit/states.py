@@ -22,6 +22,7 @@ __all__ = [
     "szsz_state",
     "szsz_coefficients",
     "acstark_state",
+    "acstark_coefficients",
     "default_photon_outcomes",
     "pdc_weight",
     "bloch_length_closed",
@@ -34,6 +35,9 @@ __all__ = [
 TAU_PERIOD = math.pi / 2.0
 
 _EXACT_BINOM_LIMIT = 60
+
+# Largest probability the pair-number truncation may leave out.
+_PDC_TAIL_TOL = 1e-8
 
 
 def _check_n(n) -> int:
@@ -94,14 +98,14 @@ class PdcEnsemble:
     n_trunc: int
 
     @classmethod
-    def build(cls, squeezing: float, n_trunc: int = 200, tail_tol: float = 1e-8):
+    def build(cls, squeezing: float, n_trunc: int = 200):
         cosh4 = _cosh4(squeezing)
         n = np.arange(n_trunc + 1)
         w = (n + 1) * math.tanh(squeezing) ** (2 * n) / cosh4
         tail = 1.0 - float(w.sum())
-        if tail > tail_tol:
+        if tail > _PDC_TAIL_TOL:
             raise ValueError(
-                f"truncation at N={n_trunc} leaves probability {tail:.3e} > {tail_tol:.1e}"
+                f"truncation at N={n_trunc} leaves probability {tail:.3e} > {_PDC_TAIL_TOL:.1e}"
                 f" at squeezing {squeezing!r}"
             )
         w.setflags(write=False)
@@ -116,12 +120,8 @@ def from_coefficients(n: int, raw) -> PureBipartiteState:
         raise ValueError(
             f"coefficient matrix for N={n} must have shape {(n + 1, n + 1)}, got {raw.shape}"
         )
-    nrm = float(np.linalg.norm(raw))
-    if nrm < 1e-150:
-        raise ValueError("degenerate state: coefficient matrix has zero norm")
-    coeff = raw / nrm
-    coeff.setflags(write=False)
-    return PureBipartiteState(n=n, coeff=coeff, source_norm=nrm)
+    coeff, norms = _normalized(raw[np.newaxis])
+    return PureBipartiteState(n=n, coeff=coeff[0], source_norm=float(norms[0]))
 
 
 def maximally_entangled(n: int) -> PureBipartiteState:
@@ -159,10 +159,7 @@ def szsz_coefficients(n: int, taus) -> np.ndarray:
     the G phases ``taus``, bit for bit."""
     n = _check_n(n)
     taus = np.asarray(taus, dtype=float).reshape(-1, 1, 1) % TAU_PERIOD
-    raw = _szsz_raw(n, taus)
-    coeff = raw / _row_norms(raw.reshape(-1, (n + 1) ** 2))[:, None, None]
-    coeff.setflags(write=False)
-    return coeff
+    return _normalized(_szsz_raw(n, taus))[0]
 
 
 def _szsz_raw(n: int, tau):
@@ -171,6 +168,23 @@ def _szsz_raw(n: int, tau):
     w = _half_binom_row(n)
     m = n - 2.0 * np.arange(n + 1)
     return np.outer(w, w) * np.exp(-1.0j * np.outer(m, m) * tau)
+
+
+def _normalized(raw: np.ndarray) -> tuple:
+    """Read-only unit-norm copy of a (G, d, d) stack of coefficient
+    matrices, and the G norms of the raw matrices.
+
+    Each matrix is divided by its own ``np.linalg.norm``, bit for bit.
+    """
+    norms = _row_norms(raw.reshape(len(raw), -1))
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"coefficient matrix {bad[0]} of the stack has non-finite norm {norms[bad[0]]}")
+    if np.any(norms < 1e-150):
+        raise ValueError("degenerate state: coefficient matrix has zero norm")
+    coeff = raw / norms[:, None, None]
+    coeff.setflags(write=False)
+    return coeff, norms
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -196,31 +210,50 @@ def default_photon_outcomes(n: int) -> tuple:
 def acstark_state(n: int, t: float, n_c: int, n_d: int) -> AcStarkOutcome:
     """Two-component state after a shared dispersive light coupling of
     duration ``t`` followed by counting n_c and n_d photons in the two
-    polarization outputs.
+    polarization outputs: ``acstark_coefficients`` at the one time ``t``.
+    """
+    t = float(t)
+    raw, weights = _acstark_raw(n, [t], n_c, n_d)
+    state = from_coefficients(n, raw[0])
+    return AcStarkOutcome(
+        n=state.n, t=t, n_c=int(n_c), n_d=int(n_d), state=state, norm_weight=float(weights[0])
+    )
+
+
+def acstark_coefficients(n: int, times, n_c: int, n_d: int) -> tuple:
+    """Post-measurement states for the outcome (n_c, n_d) at the G coupling
+    durations ``times``: a read-only (G, N+1, N+1) stack of normalized
+    coefficients and the G probability weights.
 
     The unnormalized amplitudes are
     2^-N sqrt(binom(N,k1) binom(N,k2)) (-1)^k2 sin(xi)^n_c cos(xi)^n_d with
-    xi = 2 t (k1 + k2 - N) + pi/4.  The returned state is normalized; the
-    squared norm of the raw amplitudes is kept as a probability weight.
+    xi = 2 t (k1 + k2 - N) + pi/4; a weight is their squared norm.
     """
+    raw, weights = _acstark_raw(n, times, n_c, n_d)
+    return _normalized(raw)[0], weights
+
+
+def _acstark_raw(n: int, times, n_c: int, n_d: int) -> tuple:
+    """Complex raw amplitudes of ``acstark_coefficients``, and the weights."""
     n = _check_n(n)
     for label, value in (("n_c", n_c), ("n_d", n_d)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{label} must be a non-negative integer, got {value!r}")
-    t = float(t)
+    times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
     w = _half_binom_row(n)
     k = np.arange(n + 1)
-    xi = 2.0 * t * (np.add.outer(k, k) - n) + math.pi / 4.0
+    xi = 2.0 * times * (np.add.outer(k, k) - n) + math.pi / 4.0
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     amps = np.outer(w, w) * signs[np.newaxis, :]
     amps = amps * np.sin(xi) ** n_c * np.cos(xi) ** n_d
-    weight = float(np.sum(np.abs(amps) ** 2))
-    if weight < 1e-300:
+    weights = np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    bad = np.flatnonzero(weights < 1e-300)
+    if bad.size:
         raise ValueError(
-            f"degenerate outcome: all amplitudes vanish for (t, n_c, n_d)=({t}, {n_c}, {n_d})"
+            "degenerate outcome: all amplitudes vanish for "
+            f"(t, n_c, n_d)=({float(times.flat[bad[0]])}, {n_c}, {n_d})"
         )
-    state = from_coefficients(n, amps)
-    return AcStarkOutcome(n=n, t=t, n_c=int(n_c), n_d=int(n_d), state=state, norm_weight=weight)
+    return amps.astype(complex), weights
 
 
 def _cosh4(squeezing: float) -> float:

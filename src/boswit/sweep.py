@@ -1,14 +1,15 @@
 """Parameter sweeps over the state families, with deterministic output.
 
-``run_family`` is the single entry point.  It evaluates each N's states as
-stacks through ``witness.evaluate_many`` and returns one table of columns in
-a fixed row order; floats are printed with 12 significant digits, so
-identical configurations yield byte-identical files.
+``run_family`` is the single entry point.  It cuts each N's parameter points
+into chunks, has the family build each chunk as one (G, N+1, N+1)
+coefficient stack with its weights, evaluates the stack through
+``witness.evaluate_many`` and returns one table of columns in a fixed row
+order; floats are printed with 12 significant digits, so identical
+configurations yield byte-identical files.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -116,44 +117,33 @@ class SweepResult:
     note: str | None = None
 
 
-def _grid(config: SweepConfig) -> GridSpec:
-    return config.grid or default_grid(config.family)
+def _szsz(config: SweepConfig, n: int, taus: np.ndarray) -> tuple:
+    return states.szsz_coefficients(n, taus), np.ones(len(taus))
 
 
-def _szsz_points(config: SweepConfig, n: int):
-    for tau in _grid(config).points():
-        tau = float(tau)
-        yield tau, states.szsz_state(n, tau), 1.0
-
-
-def _acstark_points(config: SweepConfig, n: int):
+def _acstark(config: SweepConfig, n: int, times: np.ndarray) -> tuple:
     n_c, n_d = config.outcomes if config.outcomes is not None else states.default_photon_outcomes(n)
-    times = (config.t_over_n / n,) if config.t_over_n is not None else _grid(config).points()
-    for t in times:
-        outcome = states.acstark_state(n, float(t), n_c, n_d)
-        yield float(t), outcome.state, outcome.norm_weight
+    return states.acstark_coefficients(n, times, n_c, n_d)
 
 
-def _pdc_points(config: SweepConfig, n: int):
-    # The N-pair component is the same state at every squeezing; only its
-    # post-selection probability changes.
-    state = states.maximally_entangled(n)
-    for k in _grid(config).points():
-        k = float(k)
-        yield k, state, states.pdc_weight(n, k)
+def _pdc(config: SweepConfig, n: int, squeezings: np.ndarray) -> tuple:
+    # The N-pair component is the same maximally entangled state at every
+    # squeezing; only its post-selection probability changes.
+    coeffs, _ = _maxent(config, n, squeezings)
+    return coeffs, np.array([states.pdc_weight(n, k) for k in squeezings.tolist()])
 
 
-def _maxent_points(config: SweepConfig, n: int):
-    yield 0.0, states.maximally_entangled(n), 1.0
+def _maxent(config: SweepConfig, n: int, params: np.ndarray) -> tuple:
+    coeff = states.maximally_entangled(n).coeff
+    return np.broadcast_to(coeff, (len(params), *coeff.shape)), np.ones(len(params))
 
 
-def _pdc_aggregates(config: SweepConfig) -> list:
+def _pdc_aggregates(squeezings: np.ndarray) -> list:
     """Truncated-series and closed-form identifier means per squeezing.  The
     mean is a property of the whole post-selected ensemble, not of any single
     run."""
     aggregates = []
-    for k in _grid(config).points():
-        k = float(k)
+    for k in squeezings.tolist():
         series, closed = pdc_epsilon_average(k)
         ens = states.PdcEnsemble.build(k)
         aggregates.append(
@@ -170,32 +160,33 @@ def _pdc_aggregates(config: SweepConfig) -> list:
 
 @dataclass(frozen=True)
 class _Family:
-    # (config, N) -> (parameter, state, weight) for each of N's points.
-    points: Callable
+    # (config, N, parameters) -> (G, N+1, N+1) coefficient stack and G weights
+    # for one chunk of N's G parameter points.
+    build: Callable
     n_values: tuple = tuple(range(1, 9))
     grid: GridSpec | None = None                    # default parameter grid
     reads: frozenset = frozenset()                  # optional SweepConfig inputs used
     param_major: bool = False                       # rows ordered by parameter, then N
-    aggregates: Callable | None = None              # config -> per-parameter aggregates
+    aggregates: Callable | None = None              # points -> per-parameter aggregates
     note: str | None = None
 
 
 _HALF_PERIOD = GridSpec(0.0, math.pi / 2.0, 128)
 
 _FAMILIES = {
-    "szsz": _Family(_szsz_points, grid=_HALF_PERIOD, reads=frozenset({"grid"})),
+    "szsz": _Family(_szsz, grid=_HALF_PERIOD, reads=frozenset({"grid"})),
     "acstark": _Family(
-        _acstark_points, grid=_HALF_PERIOD, reads=frozenset({"grid", "outcomes", "t_over_n"})
+        _acstark, grid=_HALF_PERIOD, reads=frozenset({"grid", "outcomes", "t_over_n"})
     ),
     "pdc": _Family(
-        _pdc_points,
+        _pdc,
         grid=GridSpec(0.05, 1.5, 30, inclusive=True),
         reads=frozenset({"grid"}),
         param_major=True,
         aggregates=_pdc_aggregates,
         note=PDC_NOTE,
     ),
-    "maxent": _Family(_maxent_points, n_values=tuple(range(1, 11))),
+    "maxent": _Family(_maxent, n_values=tuple(range(1, 11))),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -260,15 +251,20 @@ def run_family(config: SweepConfig) -> SweepResult:
     family = _family(config.family)
     _check_inputs(config, family)
     _validate_n_values(config)
-    aggregates = family.aggregates(config) if family.aggregates is not None else None
+    # maxent has one point per N and no parameter; acstark's t_over_n gives
+    # one point t = t_over_n / N.
+    grid = config.grid or family.grid
+    points = grid.points() if grid is not None else np.zeros(1)
+    aggregates = family.aggregates(points) if family.aggregates is not None else None
     # One float block per chunk holds every column after family; N is exact.
     blocks = []
     for n in config.n_values:
-        points = family.points(config, n)
-        while chunk := list(itertools.islice(points, max(1, _CHUNK_ENTRIES // (n + 1) ** 2))):
-            params, members, weights = zip(*chunk)
-            found = witness.evaluate_many(np.stack([state.coeff for state in members]))
-            found.update(n=np.full(len(chunk), n), param=params, weight=weights)
+        params = points if config.t_over_n is None else np.array([config.t_over_n / n])
+        size = max(1, _CHUNK_ENTRIES // (n + 1) ** 2)
+        for chunk in np.split(params, range(size, len(params), size)):
+            coeffs, weights = family.build(config, n, chunk)
+            found = witness.evaluate_many(coeffs)
+            found.update(n=np.full(len(chunk), n), param=chunk, weight=weights)
             blocks.append(np.column_stack([found[name] for name in CSV_COLUMNS[1:]]))
     table = np.concatenate(blocks)
     if family.param_major:

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from boswit.states import (
     _EXACT_BINOM_LIMIT,
     PdcEnsemble,
+    _acstark_raw,
     _binom,
+    _normalized,
+    acstark_coefficients,
     acstark_state,
     bloch_closed_coefficients,
     bloch_length_closed,
@@ -44,6 +47,29 @@ def test_from_coefficients_errors():
         from_coefficients(2, np.eye(2))
     with pytest.raises(ValueError):
         from_coefficients(0, np.eye(1))
+
+
+def test_from_coefficients_divides_by_numpy_norm():
+    # The stacked normalizer gives every matrix the bits of raw / norm(raw).
+    rng = np.random.default_rng(5)
+    for d in range(2, 42):
+        for _ in range(5):
+            raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            nrm = np.linalg.norm(raw)
+            st_ = from_coefficients(d - 1, raw)
+            assert st_.coeff.tobytes() == (raw / nrm).tobytes(), d
+            assert st_.source_norm == nrm, d
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="coefficient matrix 0 of the stack has non-finite norm"):
+        from_coefficients(1, [[bad, 0.0], [0.0, 1.0]])
+    stack = np.ones((4, 3, 3), dtype=complex)
+    stack[2, 1, 0] = complex(0.0, bad)
+    stack[3, 0, 0] = bad
+    with pytest.raises(ValueError, match="coefficient matrix 2 of the stack has non-finite norm"):
+        _normalized(stack)
 
 
 def test_maximally_entangled():
@@ -132,6 +158,30 @@ def test_acstark_even_matches_simplified_cosine(n):
     simple = np.outer(w, w) * signs[None, :]
     simple = simple * np.cos(4.0 * t * (np.add.outer(k, k) - n)) ** n_c / 2.0 ** n_c
     assert np.max(np.abs(raw - simple)) < 1e-10
+
+
+@pytest.mark.parametrize("outcomes, stride", [(None, 1), ((1, 4), 8)])
+def test_acstark_coefficients_match_per_state_builds(outcomes, stride):
+    # Each stacked state, weight and raw norm has the bits of its own
+    # acstark_state build, on the default grid and at t = 2.5 / N.
+    grid = default_grid("acstark").points()[::stride]
+    for n in range(1, 41):
+        n_c, n_d = outcomes or default_photon_outcomes(n)
+        times = np.append(grid, 2.5 / n)
+        coeffs, weights = acstark_coefficients(n, times, n_c, n_d)
+        raw, _ = _acstark_raw(n, times, n_c, n_d)
+        assert coeffs.shape == (len(times), n + 1, n + 1)
+        assert not coeffs.flags.writeable
+        for i, t in enumerate(times.tolist()):
+            out = acstark_state(n, t, n_c, n_d)
+            assert coeffs[i].tobytes() == out.state.coeff.tobytes(), (n, t)
+            assert weights[i].tobytes() == np.float64(out.norm_weight).tobytes(), (n, t)
+            assert np.linalg.norm(raw[i]) == out.state.source_norm, (n, t)
+
+
+def test_acstark_coefficients_name_the_first_degenerate_time():
+    with pytest.raises(ValueError, match=re.escape("(t, n_c, n_d)=(0.0, 0, 1200)")):
+        acstark_coefficients(2, [0.1, 0.0, 1e-3], 0, 1200)
 
 
 def test_acstark_argument_errors():
