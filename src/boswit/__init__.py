@@ -3,12 +3,10 @@ ensembles: generator bases, state families, witness quantities, brute-force
 verifiers, and parameter sweeps."""
 
 from .basis import (
-    build_gellmann,
     gellmann_basis,
     gm_index,
     schwinger_ops,
     spin_gellmann_decomposition,
-    verify_gellmann_from_spin,
 )
 from .oracle import (
     OracleReport,
@@ -32,7 +30,6 @@ from .states import (
     from_coefficients,
     maximally_entangled,
     pdc_weight,
-    spin_coherent,
     szsz_coefficients,
     szsz_state,
 )
@@ -54,7 +51,6 @@ from .witness import (
     spin_tensor,
     t_max,
     tensor_norm,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"

@@ -16,12 +16,16 @@ This module is the one place that knows the enumeration: the pair order,
 the diagonal weights (``diagonal_weights``) and the flat indices
 (``gm_index``).  Everything it hands out is a plain read-only array:
 ``gellmann_basis(d)`` the (d^2, d, d) basis, ``schwinger_ops`` the tuple
-(sx, sy, sz).  ``project_traceless`` contracts against the traceless
+(sx, sy, sz).  Both check their arguments first and then build once per
+argument through a private cache, so a bad ``d`` is a ``ValueError`` and
+never a cache key.  ``project_traceless`` contracts against the traceless
 elements without building them.
 
 Under this enumeration the three collective spin components of the two-mode
 system expand over adjacent-pair matrices with closed-form flat indices; see
-``gm_index`` and ``spin_gellmann_decomposition``.
+``gm_index`` and ``spin_gellmann_decomposition``.  At d = 3 the eight
+generators are also polynomials in the spin-1 components; ``check
+appendix`` reports how closely each one is rebuilt.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "build_gellmann",
     "diagonal_weights",
     "gellmann_basis",
     "gm_index",
     "schwinger_ops",
     "spin_gellmann_decomposition",
-    "verify_gellmann_from_spin",
     "project_traceless",
 ]
 
@@ -78,9 +80,14 @@ def diagonal_weights(d: int) -> np.ndarray:
     return _read_only(_level_weights(d)[:, None] * steps)
 
 
-def build_gellmann(d: int) -> np.ndarray:
-    """Build the read-only (d^2, d, d) operator basis for dimension ``d``."""
-    d = _check_dimension(d)
+def gellmann_basis(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) operator basis for dimension ``d``, built once
+    per dimension and shared."""
+    return _gellmann_basis(_check_dimension(d))
+
+
+@lru_cache(maxsize=None)
+def _gellmann_basis(d: int) -> np.ndarray:
     elements = np.zeros((d * d, d, d), dtype=complex)
     elements[0] = np.eye(d) / math.sqrt(d * (d - 1) / 2.0)
     (si, sj), (ai, aj) = _pairs(d)
@@ -93,12 +100,6 @@ def build_gellmann(d: int) -> np.ndarray:
     levels = np.arange(d)
     elements[d * (d - 1) + 1:, levels, levels] = diagonal_weights(d)
     return _read_only(elements)
-
-
-@lru_cache(maxsize=None)
-def gellmann_basis(d: int) -> np.ndarray:
-    """Shared read-only basis for dimension ``d``."""
-    return build_gellmann(d)
 
 
 def gm_index(d: int, kind: str, arg) -> int:
@@ -202,22 +203,6 @@ def _spin_identity_errors() -> list:
         err = float(np.max(np.abs(candidate - elements[m])))
         out.append((name, err))
     return out
-
-
-def verify_gellmann_from_spin(atol: float = 1e-12) -> list:
-    """Check the eight d=3 generators against polynomials in spin-1 ops.
-
-    Returns one record per generator with the entrywise error.  Raises if
-    any identity is violated beyond ``atol``.
-    """
-    reports = [
-        {"name": name, "max_abs_error": err, "passed": err <= atol}
-        for name, err in _spin_identity_errors()
-    ]
-    bad = [r["name"] for r in reports if not r["passed"]]
-    if bad:
-        raise ValueError(f"spin identity violated for {', '.join(bad)}")
-    return reports
 
 
 def project_traceless(q: np.ndarray) -> np.ndarray:

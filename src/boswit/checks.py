@@ -103,7 +103,7 @@ def _closed_form_checks() -> list:
     err = 0.0
     ks = np.linspace(0.05, 1.5, 30)
     for k in ks:
-        series, closed = oracle.pdc_epsilon_average(float(k))
+        series, closed = oracle.pdc_epsilon_average(states.PdcEnsemble.build(float(k)))
         err = max(err, abs(series - closed))
     reports.append(OracleReport("closed_form_pdc_average", err, err <= 1e-8, samples=len(ks)))
     return reports

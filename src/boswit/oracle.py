@@ -18,7 +18,6 @@ from .states import (
     PdcEnsemble,
     PureBipartiteState,
     _row_norms,
-    bloch_length_closed,
     from_coefficients,
 )
 from .witness import CorrelationTensor, t_max
@@ -306,25 +305,21 @@ def reference_closed_forms(family: str, n: int | None, parameter: float) -> dict
             "txx": cos2 ** (2 * n - 2),
             "tyz": cos2 ** (n - 1) * math.sin(2.0 * tau),
         }
-    if family == "bloch_closed":
-        if n is None or n < 1:
-            raise ValueError(f"unsupported reference: bloch_closed needs N >= 1, got {n!r}")
-        return {"bloch_sq": bloch_length_closed(n, tau)}
     raise ValueError(f"unsupported reference family {family!r}")
 
 
-def pdc_epsilon_average(squeezing: float, n_trunc: int = 200) -> tuple:
-    """Truncated series and closed form of the post-selected identifier mean.
+def pdc_epsilon_average(ensemble: PdcEnsemble) -> tuple:
+    """Truncated series and closed form of the identifier mean over a
+    post-selected ensemble.
 
     The vacuum outcome carries no correlations, so its identifier is the
     separable boundary value 1; every N >= 1 outcome contributes N + 2.
     """
-    ens = PdcEnsemble.build(squeezing, n_trunc=n_trunc)
-    n = np.arange(n_trunc + 1)
+    n = np.arange(len(ensemble.weights))
     eps_n = np.where(n == 0, 1.0, n + 2.0)
-    series = float(ens.weights @ eps_n)
+    series = float(ensemble.weights @ eps_n)
     ch = math.cosh
-    k = float(squeezing)
+    k = ensemble.squeezing
     closed = (15.0 * ch(2 * k) + 6.0 * ch(4 * k) + ch(6 * k) - 6.0) / (16.0 * ch(k) ** 4)
     return series, closed
 

@@ -18,7 +18,6 @@ __all__ = [
     "PdcEnsemble",
     "from_coefficients",
     "maximally_entangled",
-    "spin_coherent",
     "szsz_state",
     "szsz_coefficients",
     "acstark_state",
@@ -36,7 +35,9 @@ TAU_PERIOD = math.pi / 2.0
 
 _EXACT_BINOM_LIMIT = 60
 
-# Largest probability the pair-number truncation may leave out.
+# Largest pair number of a post-selected ensemble, and the largest
+# probability that truncation may leave out.
+_PDC_N_TRUNC = 200
 _PDC_TAIL_TOL = 1e-8
 
 
@@ -98,18 +99,16 @@ class PdcEnsemble:
     n_trunc: int
 
     @classmethod
-    def build(cls, squeezing: float, n_trunc: int = 200):
-        cosh4 = _cosh4(squeezing)
-        n = np.arange(n_trunc + 1)
-        w = (n + 1) * math.tanh(squeezing) ** (2 * n) / cosh4
+    def build(cls, squeezing: float):
+        w = pdc_weight(np.arange(_PDC_N_TRUNC + 1), squeezing)
         tail = 1.0 - float(w.sum())
         if tail > _PDC_TAIL_TOL:
             raise ValueError(
-                f"truncation at N={n_trunc} leaves probability {tail:.3e} > {_PDC_TAIL_TOL:.1e}"
+                f"truncation at N={_PDC_N_TRUNC} leaves probability {tail:.3e} > {_PDC_TAIL_TOL:.1e}"
                 f" at squeezing {squeezing!r}"
             )
         w.setflags(write=False)
-        return cls(squeezing=float(squeezing), weights=w, n_trunc=int(n_trunc))
+        return cls(squeezing=float(squeezing), weights=w, n_trunc=_PDC_N_TRUNC)
 
 
 def from_coefficients(n: int, raw) -> PureBipartiteState:
@@ -128,20 +127,6 @@ def maximally_entangled(n: int) -> PureBipartiteState:
     """Equal-weight diagonal state c_kl = delta_kl / sqrt(N+1)."""
     n = _check_n(n)
     return from_coefficients(n, np.eye(n + 1))
-
-
-def spin_coherent(n: int, alpha: complex, beta: complex) -> np.ndarray:
-    """Amplitudes of N bosons sharing the single-particle mode alpha|a>+beta|b>.
-
-    Entry k is sqrt(binom(N, k)) alpha^(N-k) beta^k.
-    """
-    n = _check_n(n)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
-        raise ValueError("mode amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    k = np.arange(n + 1)
-    amps = np.array([math.sqrt(_binom(n, kk)) for kk in k], dtype=complex)
-    amps *= np.power(complex(alpha), n - k) * np.power(complex(beta), k)
-    return amps
 
 
 def szsz_state(n: int, tau: float) -> PureBipartiteState:
@@ -240,6 +225,9 @@ def _acstark_raw(n: int, times, n_c: int, n_d: int) -> tuple:
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{label} must be a non-negative integer, got {value!r}")
     times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise ValueError(f"coupling time must be finite, got t={float(times.flat[bad[0]])}")
     w = _half_binom_row(n)
     k = np.arange(n + 1)
     xi = 2.0 * times * (np.add.outer(k, k) - n) + math.pi / 4.0
@@ -266,12 +254,23 @@ def _cosh4(squeezing: float) -> float:
         raise ValueError(f"squeezing {squeezing!r} is too large: cosh(squeezing)^4 overflows") from None
 
 
-def pdc_weight(n: int, squeezing: float) -> float:
-    """Probability of post-selecting N photon pairs at the given squeezing."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"pair number must be an integer >= 0, got {n!r}")
-    cosh4 = _cosh4(squeezing)
-    return (n + 1) * math.tanh(squeezing) ** (2 * n) / cosh4
+def pdc_weight(n, squeezing) -> np.ndarray:
+    """Probability (N+1) tanh(K)^(2N) / cosh(K)^4 of post-selecting N photon
+    pairs at squeezing K; broadcasts over arrays of pair numbers and of
+    squeezings."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu" or np.any(n < 0):
+        raise ValueError(f"pair number must be an integer >= 0, got {n.tolist()!r}")
+    # tanh and cosh come from math, one squeezing at a time: numpy's
+    # vectorized versions differ from them in the last bit.
+    k = np.asarray(squeezing, dtype=float)
+    ks = k.ravel().tolist()
+    cosh4 = np.reshape([_cosh4(x) for x in ks], k.shape)
+    tanh = np.reshape([math.tanh(x) for x in ks], k.shape)
+    # Every point gets its own exponent: under a scalar exponent 2, numpy
+    # squares the base, which can differ from its pow in the last bit.
+    twice_n = np.full(np.broadcast_shapes(n.shape, k.shape), 2 * n)
+    return (n + 1) * tanh ** twice_n / cosh4
 
 
 def bloch_closed_coefficients(n: int) -> tuple:

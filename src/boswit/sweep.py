@@ -130,7 +130,7 @@ def _pdc(config: SweepConfig, n: int, squeezings: np.ndarray) -> tuple:
     # The N-pair component is the same maximally entangled state at every
     # squeezing; only its post-selection probability changes.
     coeffs, _ = _maxent(config, n, squeezings)
-    return coeffs, np.array([states.pdc_weight(n, k) for k in squeezings.tolist()])
+    return coeffs, states.pdc_weight(n, squeezings)
 
 
 def _maxent(config: SweepConfig, n: int, params: np.ndarray) -> tuple:
@@ -144,8 +144,8 @@ def _pdc_aggregates(squeezings: np.ndarray) -> list:
     run."""
     aggregates = []
     for k in squeezings.tolist():
-        series, closed = pdc_epsilon_average(k)
         ens = states.PdcEnsemble.build(k)
+        series, closed = pdc_epsilon_average(ens)
         aggregates.append(
             PdcAggregate(
                 squeezing=k,

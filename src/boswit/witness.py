@@ -47,7 +47,6 @@ __all__ = [
     "t_max",
     "epsilon",
     "bloch_vector",
-    "von_neumann_entropy",
     "spin_tensor",
     "spin_criterion",
     "evaluate",
@@ -175,11 +174,6 @@ def bloch_vector(tensor: CorrelationTensor, side: str) -> tuple:
     local = tensor.local_a if side == "A" else tensor.local_b
     vec = (tensor.d - 1.0) * local
     return vec, float(vec @ vec)
-
-
-def von_neumann_entropy(state: PureBipartiteState) -> float:
-    """Entanglement entropy in bits from the Schmidt spectrum of c."""
-    return evaluate(state).entropy
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from boswit import checks, oracle, states, witness
-from boswit.basis import gellmann_basis, schwinger_ops, spin_gellmann_decomposition, verify_gellmann_from_spin
+from boswit.basis import gellmann_basis, schwinger_ops, spin_gellmann_decomposition
 
 GRID128 = np.linspace(0.0, math.pi / 2, 128, endpoint=False)
 GRID64 = np.linspace(0.0, math.pi / 2, 64, endpoint=False)
@@ -188,11 +188,11 @@ def test_criterion_07_pdc_average():
     t0 = time.perf_counter()
     ok = True
     for k in np.linspace(0.05, 1.5, 30):
-        series, closed = oracle.pdc_epsilon_average(float(k), n_trunc=200)
+        ens = states.PdcEnsemble.build(float(k))
+        series, closed = oracle.pdc_epsilon_average(ens)
         ok &= abs(series - closed) < 1e-8
         ok &= series > 1.0
-        ens = states.PdcEnsemble.build(float(k), n_trunc=200)
-        ok &= 1.0 - float(ens.weights.sum()) < 1e-8
+        ok &= ens.n_trunc == 200 and 1.0 - float(ens.weights.sum()) < 1e-8
     dt = _report("C07 squeezed-vacuum average identifier", ok, t0)
     assert ok
     assert dt < 1.0
@@ -229,8 +229,8 @@ def test_criterion_08_spin_criterion_failure():
 
 def test_criterion_09_operator_identities():
     t0 = time.perf_counter()
-    reports = verify_gellmann_from_spin(atol=1e-12)
-    ok = len(reports) == 8 and all(r["passed"] for r in reports)
+    reports, ok = checks.run_checks("appendix")   # each identity within 1e-12
+    ok &= len(reports) == 8
     for d in range(2, 13):
         el = gellmann_basis(d)
         flat = el[1:].reshape(d * d - 1, -1)

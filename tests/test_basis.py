@@ -6,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boswit.basis import (
-    build_gellmann,
+    _spin_identity_errors,
     gellmann_basis,
     gm_index,
     project_traceless,
     schwinger_ops,
     spin_gellmann_decomposition,
-    verify_gellmann_from_spin,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -21,9 +20,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_invalid_dimension():
-    for bad in (1, 0, -3, 2.5, "3"):
+    for bad in (1, 0, -3, 2.5, "3", [3]):
         with pytest.raises(ValueError):
-            build_gellmann(bad)
+            gellmann_basis(bad)
 
 
 def _loop_built_gellmann(d):
@@ -49,7 +48,7 @@ def _loop_built_gellmann(d):
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_build_matches_loop_reference(d):
-    el = build_gellmann(d)
+    el = gellmann_basis(d)
     ref = _loop_built_gellmann(d)
     assert el.shape == ref.shape and el.dtype == ref.dtype
     assert np.array_equal(el, ref)
@@ -58,7 +57,7 @@ def test_build_matches_loop_reference(d):
 
 
 def test_pauli_case():
-    b = build_gellmann(2)
+    b = gellmann_basis(2)
     assert np.allclose(b[0], np.eye(2), atol=1e-15)
     assert np.allclose(b[1], PAULI_X, atol=1e-15)
     assert np.allclose(b[2], PAULI_Y, atol=1e-15)
@@ -66,7 +65,7 @@ def test_pauli_case():
 
 
 def test_d3_elements_frozen():
-    el = build_gellmann(3)
+    el = gellmann_basis(3)
     assert np.allclose(el[0], np.eye(3) / math.sqrt(3), atol=1e-15)
     assert np.allclose(el[1], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], atol=1e-15)
     assert np.allclose(el[2], [[0, 0, 1], [0, 0, 0], [1, 0, 0]], atol=1e-15)
@@ -230,10 +229,9 @@ def test_decomposition_sums_to_spin_j(d):
 
 
 def test_spin_identities_all_pass():
-    reports = verify_gellmann_from_spin()
-    assert len(reports) == 8
-    assert all(r["passed"] for r in reports)
-    assert max(r["max_abs_error"] for r in reports) < 1e-12
+    errors = _spin_identity_errors()
+    assert [name for name, _ in errors] == [f"M{m}" for m in range(1, 9)]
+    assert max(err for _, err in errors) < 1e-12
 
 
 def test_spin_identity_frozen_values():

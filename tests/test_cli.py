@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,7 @@ def test_unread_sweep_inputs_exit_2(argv, capsys):
         (["check", "closed-forms", "--d", "5"], "'closed-forms'"),
         (["sweep", "maxent", "--n", "-1"], "--n takes boson numbers or lo-hi ranges, got '-1'"),
         (["sweep", "maxent", "--n", "3-"], "--n takes boson numbers or lo-hi ranges, got '3-'"),
+        (["sweep", "pdc", "--K", "0.5:3:3"], "truncation at N=200 leaves probability"),
     ],
 )
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
@@ -160,3 +163,41 @@ def test_check_basis_single_dimension(capsys):
 
 def test_check_unknown_selector_exit_2():
     assert main(["check", "everything"]) == 2
+
+
+# The README's data-generation lines, `boswit sweep ... --out data/<file>`,
+# keyed by file; each value is the file's data rows (aggregates for JSON).
+README_TABLES = {
+    "szsz_identifiers.csv": 8 * 128,
+    "acstark_time_sweep.csv": 6 * 128,
+    "acstark_short_time.csv": 19,
+    "spin_criterion.csv": 20 * 128,
+    "pdc_rows.csv": 8 * 30,
+    "pdc_average.json": 30,
+}
+
+
+def _readme_data_lines() -> dict:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines if line.startswith("boswit sweep ")]
+    return {argv[argv.index("--out") + 1]: argv for argv in argvs if "--out" in argv}
+
+
+@pytest.mark.parametrize("name", README_TABLES)
+def test_readme_data_line_writes_its_table(name, tmp_path):
+    lines = _readme_data_lines()
+    assert sorted(lines) == sorted(f"data/{table}" for table in README_TABLES)
+    argv = lines[f"data/{name}"][1:]
+    out = tmp_path / name
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 0
+    if name.endswith(".json"):
+        aggregates = json.loads(out.read_text(encoding="utf-8"))["aggregates"]
+        assert len(aggregates) == README_TABLES[name]
+        assert all(list(a) == ["squeezing", "eps_avg_series", "eps_avg_closed", "weight_sum", "n_trunc"] for a in aggregates)
+        return
+    rows = [line for line in out.read_text(encoding="utf-8").splitlines() if not line.startswith("# ")]
+    assert rows[0] == ",".join(CSV_COLUMNS)
+    assert len(rows) == 1 + README_TABLES[name]
+    assert all(len(row.split(",")) == len(CSV_COLUMNS) for row in rows[1:])

@@ -9,6 +9,7 @@ import pytest
 from boswit import checks, oracle
 from boswit.basis import gellmann_basis, project_traceless
 from boswit.states import (
+    PdcEnsemble,
     acstark_state,
     default_photon_outcomes,
     maximally_entangled,
@@ -342,8 +343,6 @@ def test_reference_closed_forms():
     assert ref["t_norm"] == pytest.approx(3.0, abs=1e-12)
     ref = oracle.reference_closed_forms("spin_elements", 5, 0.2)
     assert ref["txx"] == pytest.approx(math.cos(0.4) ** 8, abs=1e-12)
-    ref = oracle.reference_closed_forms("bloch_closed", 2, 0.3)
-    assert 0.0 < ref["bloch_sq"] < 1.0
     with pytest.raises(ValueError, match="unsupported"):
         oracle.reference_closed_forms("szsz_n3", 3, 0.1)
     with pytest.raises(ValueError, match="unsupported"):
@@ -352,23 +351,24 @@ def test_reference_closed_forms():
 
 def test_pdc_average_matches_closed_form():
     for squeezing in (0.05, 0.25, 0.5, 1.0, 1.5):
-        series, closed = oracle.pdc_epsilon_average(squeezing, n_trunc=200)
+        series, closed = oracle.pdc_epsilon_average(PdcEnsemble.build(squeezing))
         assert abs(series - closed) < 1e-8
         assert closed > 1.0
 
 
 def test_pdc_average_boundary_and_monotone():
-    series, closed = oracle.pdc_epsilon_average(1e-6)
+    series, closed = oracle.pdc_epsilon_average(PdcEnsemble.build(1e-6))
     assert series == pytest.approx(1.0, abs=1e-8)
     assert closed == pytest.approx(1.0, abs=1e-8)
     grid = np.linspace(0.05, 1.5, 30)
-    values = [oracle.pdc_epsilon_average(float(k))[1] for k in grid]
+    values = [oracle.pdc_epsilon_average(PdcEnsemble.build(float(k)))[1] for k in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_pdc_average_truncation_guard():
-    with pytest.raises(ValueError, match="truncation"):
-        oracle.pdc_epsilon_average(1.5, n_trunc=10)
+    # At the fixed truncation N = 200, squeezing 2.0 leaves 6.1e-6 out.
+    with pytest.raises(ValueError, match="truncation at N=200 leaves probability 6.1"):
+        PdcEnsemble.build(2.0)
 
 
 def test_pure_entanglement_oracle():

@@ -21,7 +21,6 @@ from boswit.states import (
     from_coefficients,
     maximally_entangled,
     pdc_weight,
-    spin_coherent,
     szsz_coefficients,
     szsz_state,
 )
@@ -78,22 +77,17 @@ def test_maximally_entangled():
 
 
 def test_spin_coherent_values():
-    assert np.allclose(spin_coherent(2, 1.0, 0.0), [1.0, 0.0, 0.0])
+    # Without interaction each component is the x-polarized spin coherent
+    # state, amplitudes sqrt(binom(N, k)) / 2^(N/2).
     r = 1 / math.sqrt(2)
-    assert np.allclose(spin_coherent(2, r, r), [0.5, r, 0.5], atol=1e-12)
-    assert np.allclose(spin_coherent(1, r, r), [r, r], atol=1e-12)
-
-
-def test_spin_coherent_normalization_error():
-    with pytest.raises(ValueError, match="alpha"):
-        spin_coherent(2, 1.0, 0.5)
+    for n, v in ((1, [r, r]), (2, [0.5, r, 0.5])):
+        assert np.allclose(szsz_state(n, 0.0).coeff, np.outer(v, v), atol=1e-12)
 
 
 def test_szsz_no_interaction_is_product():
     n = 3
     st_ = szsz_state(n, 0.0)
-    r = 1 / math.sqrt(2)
-    v = spin_coherent(n, r, r)
+    v = np.sqrt([math.comb(n, k) for k in range(n + 1)]) / 2.0 ** (n / 2)
     assert np.allclose(st_.coeff, np.outer(v, v), atol=1e-12)
 
 
@@ -184,6 +178,15 @@ def test_acstark_coefficients_name_the_first_degenerate_time():
         acstark_coefficients(2, [0.1, 0.0, 1e-3], 0, 1200)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_acstark_non_finite_times_rejected(bad):
+    # A ValueError naming t, before any numpy warning.
+    with pytest.raises(ValueError, match=re.escape(f"coupling time must be finite, got t={bad}")):
+        acstark_state(2, bad, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(f"coupling time must be finite, got t={bad}")):
+        acstark_coefficients(2, [0.1, bad, 0.2, math.nan], 1, 1)
+
+
 def test_acstark_argument_errors():
     with pytest.raises(ValueError):
         acstark_state(2, 0.1, -1, 1)
@@ -199,9 +202,10 @@ def test_pdc_weight_values():
     assert pdc_weight(2, 1.0) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
         pdc_weight(2, 0.0)
-    with pytest.raises(ValueError):
-        pdc_weight(-1, 0.5)
-    for squeezing in (math.nan, math.inf, -1.0):
+    for n in (-1, [1, -1], True, 2.0):
+        with pytest.raises(ValueError, match="pair number"):
+            pdc_weight(n, 0.5)
+    for squeezing in (math.nan, math.inf, -1.0, [0.5, math.nan]):
         with pytest.raises(ValueError, match="positive and finite"):
             pdc_weight(2, squeezing)
 
@@ -216,14 +220,26 @@ def test_pdc_squeezing_too_large_for_floats(squeezing):
 
 @pytest.mark.parametrize("squeezing", [0.1, 0.5, 1.0, 1.5])
 def test_pdc_weights_sum_to_one(squeezing):
-    ens = PdcEnsemble.build(squeezing, n_trunc=200)
+    ens = PdcEnsemble.build(squeezing)
+    assert ens.n_trunc == 200 and ens.weights.shape == (201,)
     assert np.all(ens.weights >= 0.0)
     assert 1.0 - float(ens.weights.sum()) < 1e-8
 
 
 def test_pdc_truncation_error():
-    with pytest.raises(ValueError, match="truncation"):
-        PdcEnsemble.build(1.5, n_trunc=5)
+    # At the fixed truncation N = 200, squeezing 2.0 leaves 6.1e-6 out.
+    with pytest.raises(ValueError, match=r"truncation at N=200 leaves probability 6\.1\d*e-06 > 1\.0e-08 at squeezing 2\.0"):
+        PdcEnsemble.build(2.0)
+
+
+def test_pdc_weight_broadcasts_with_the_ensemble_bits():
+    # The same point gets the same bits whether N or the squeezing is the
+    # array; N = 1 (exponent 2) is where numpy's square and pow part.
+    squeezings = np.linspace(0.001, 1.7, 400)
+    table = np.stack([PdcEnsemble.build(k).weights for k in squeezings.tolist()])
+    for n in range(201):
+        assert pdc_weight(n, squeezings).tobytes() == table[:, n].tobytes(), n
+    assert pdc_weight(np.arange(3)[:, None], squeezings).tobytes() == table[:, :3].T.tobytes()
 
 
 def test_binom_continuous_across_lgamma_switch():

@@ -8,7 +8,7 @@ import pytest
 
 from boswit import sweep
 from boswit.cli import main
-from boswit.states import pdc_weight, szsz_state
+from boswit.states import PdcEnsemble, pdc_weight, szsz_state
 from boswit.sweep import (
     CSV_COLUMNS,
     GridSpec,
@@ -108,6 +108,16 @@ def test_pdc_result():
     for n, k, eps, weight in zip(cols["n"].tolist(), cols["param"].tolist(), cols["epsilon"], cols["weight"]):
         assert eps == pytest.approx(n + 2, abs=1e-9)
         assert weight == pytest.approx(pdc_weight(n, k), rel=1e-12)
+
+
+def test_pdc_weight_column_is_the_ensemble_weight():
+    # One formula: each default pdc row carries, bit for bit, the weight its
+    # squeezing's ensemble gives its N.
+    cols = run_family(SweepConfig("pdc", sweep.default_n_values("pdc"))).columns
+    ensembles = {k: PdcEnsemble.build(k) for k in default_grid("pdc").points().tolist()}
+    assert len(cols["n"]) == 240
+    for n, k, weight in zip(cols["n"].tolist(), cols["param"].tolist(), cols["weight"]):
+        assert weight.tobytes() == ensembles[k].weights[n].tobytes(), (n, k)
 
 
 def test_n_value_caps():

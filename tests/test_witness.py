@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from boswit import oracle, witness
-from boswit.basis import gellmann_basis, project_traceless, schwinger_ops
+from boswit.basis import _gellmann_basis, gellmann_basis, project_traceless, schwinger_ops
 from boswit.states import (
     PdcEnsemble,
     PureBipartiteState,
@@ -29,7 +29,6 @@ from boswit.witness import (
     spin_tensor,
     t_max,
     tensor_norm,
-    von_neumann_entropy,
 )
 
 GRID = np.linspace(0.0, math.pi / 2, 64, endpoint=False)
@@ -116,8 +115,8 @@ def test_bloch_matches_closed_formula():
 
 
 def test_entropy_examples():
-    assert von_neumann_entropy(szsz_state(1, math.pi / 4)) == pytest.approx(1.0, abs=1e-12)
-    assert von_neumann_entropy(szsz_state(2, 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate(szsz_state(1, math.pi / 4)).entropy == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(szsz_state(2, 0.0)).entropy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fast_matches_dense_reference():
@@ -149,9 +148,9 @@ def test_identifiers_invariant_under_basis_shuffle():
 
 
 def test_correlation_tensor_builds_no_basis():
-    gellmann_basis.cache_clear()
+    _gellmann_basis.cache_clear()
     correlation_tensor(szsz_state(4, 0.3))
-    assert gellmann_basis.cache_info().currsize == 0
+    assert _gellmann_basis.cache_info().currsize == 0
 
 
 def _per_state_tensor(state):
@@ -274,7 +273,7 @@ def test_unnormalized_state_rejected():
     with pytest.raises(ValueError, match="normalized"):
         correlation_tensor(bad)
     with pytest.raises(ValueError, match="normalized"):
-        von_neumann_entropy(bad)
+        evaluate(bad)
 
 
 @pytest.mark.parametrize("factor", [1.01, math.nan])
@@ -422,9 +421,8 @@ def test_product_states_pinned_up_to_the_hard_cap():
 def test_maxent_epsilon_computed_over_the_pdc_truncation():
     # pdc_epsilon_average takes eps_N = N + 2 for every N up to its
     # truncation; compute each one and rebuild its series from them.
-    n_trunc, squeezing = 200, 0.8
-    eps = np.array([1.0] + [evaluate(maximally_entangled(n)).epsilon for n in range(1, n_trunc + 1)])
-    np.testing.assert_allclose(eps[1:], np.arange(1, n_trunc + 1) + 2.0, rtol=1e-12)
-    series, _ = oracle.pdc_epsilon_average(squeezing, n_trunc)
-    weights = PdcEnsemble.build(squeezing, n_trunc).weights
-    assert float(weights @ eps) == pytest.approx(series, rel=1e-12)
+    ens = PdcEnsemble.build(0.8)
+    eps = np.array([1.0] + [evaluate(maximally_entangled(n)).epsilon for n in range(1, ens.n_trunc + 1)])
+    np.testing.assert_allclose(eps[1:], np.arange(1, ens.n_trunc + 1) + 2.0, rtol=1e-12)
+    series, _ = oracle.pdc_epsilon_average(ens)
+    assert float(ens.weights @ eps) == pytest.approx(series, rel=1e-12)
