@@ -11,7 +11,6 @@ from .basis import (
 from .oracle import (
     OracleReport,
     ProductSearchResult,
-    pdc_epsilon_average,
     product_overlap_search,
     product_overlap_searches,
     pure_entanglement_oracle,
@@ -29,6 +28,7 @@ from .states import (
     default_photon_outcomes,
     from_coefficients,
     maximally_entangled,
+    pdc_epsilon_average,
     pdc_weight,
     szsz_coefficients,
     szsz_state,
@@ -42,15 +42,11 @@ from .sweep import (
 from .witness import (
     CorrelationTensor,
     CriterionReport,
-    bloch_vector,
     correlation_tensor,
-    epsilon,
     evaluate,
     evaluate_many,
-    spin_criterion,
-    spin_tensor,
-    t_max,
-    tensor_norm,
+    spin_tensors,
+    tensor_identifiers,
 )
 
 __version__ = "0.1.0"

@@ -44,7 +44,14 @@ def _parse_grid(text: str, inclusive: bool) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like lo:hi:steps, got {text!r}")
-    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]), inclusive)
+    values = []
+    for name, part, kind in zip(("lo", "hi", "steps"), parts, (float, float, int)):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"grid {name} must be {what}, got {part!r} in {text!r}") from None
+    return GridSpec(*values, inclusive)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,6 +108,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     reports, passed = run_checks(args.selector, d=args.d, seed=args.seed)
     payload = {
         "selector": args.selector,

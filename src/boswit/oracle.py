@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import gellmann_basis, schwinger_ops
-from .states import (
-    PdcEnsemble,
-    PureBipartiteState,
-    _row_norms,
-    from_coefficients,
-)
-from .witness import CorrelationTensor, t_max
+from .states import PureBipartiteState, _row_norms, from_coefficients
+from .witness import CorrelationTensor
 
 __all__ = [
     "OracleReport",
@@ -32,7 +27,6 @@ __all__ = [
     "product_overlap_search",
     "product_overlap_searches",
     "reference_closed_forms",
-    "pdc_epsilon_average",
     "pure_entanglement_oracle",
     "random_product_state",
     "random_pure_state",
@@ -205,7 +199,7 @@ def product_overlap_searches(jobs, iterations: int = 50) -> list:
         best[idx] = _lockstep_search([jobs[i] for i in idx], d, iterations)
     results = []
     for (tensor, _), top in zip(jobs, best.tolist()):
-        bound = t_max(tensor)
+        bound = float(np.linalg.svd(tensor.t, compute_uv=False)[0])
         if top > bound + 1e-8:
             raise RuntimeError(
                 f"product overlap {top!r} exceeded the singular-value bound {bound!r}"
@@ -306,22 +300,6 @@ def reference_closed_forms(family: str, n: int | None, parameter: float) -> dict
             "tyz": cos2 ** (n - 1) * math.sin(2.0 * tau),
         }
     raise ValueError(f"unsupported reference family {family!r}")
-
-
-def pdc_epsilon_average(ensemble: PdcEnsemble) -> tuple:
-    """Truncated series and closed form of the identifier mean over a
-    post-selected ensemble.
-
-    The vacuum outcome carries no correlations, so its identifier is the
-    separable boundary value 1; every N >= 1 outcome contributes N + 2.
-    """
-    n = np.arange(len(ensemble.weights))
-    eps_n = np.where(n == 0, 1.0, n + 2.0)
-    series = float(ensemble.weights @ eps_n)
-    ch = math.cosh
-    k = ensemble.squeezing
-    closed = (15.0 * ch(2 * k) + 6.0 * ch(4 * k) + ch(6 * k) - 6.0) / (16.0 * ch(k) ** 4)
-    return series, closed
 
 
 def pure_entanglement_oracle(state: PureBipartiteState) -> bool:

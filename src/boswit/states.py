@@ -24,6 +24,7 @@ __all__ = [
     "acstark_coefficients",
     "default_photon_outcomes",
     "pdc_weight",
+    "pdc_epsilon_average",
     "bloch_length_closed",
     "bloch_closed_coefficients",
     "catalan",
@@ -109,6 +110,22 @@ class PdcEnsemble:
             )
         w.setflags(write=False)
         return cls(squeezing=float(squeezing), weights=w, n_trunc=_PDC_N_TRUNC)
+
+
+def pdc_epsilon_average(ensemble: PdcEnsemble) -> tuple:
+    """Truncated series and closed form of the identifier mean over a
+    post-selected ensemble.
+
+    The vacuum outcome carries no correlations, so its identifier is the
+    separable boundary value 1; every N >= 1 outcome contributes N + 2.
+    """
+    n = np.arange(len(ensemble.weights))
+    eps_n = np.where(n == 0, 1.0, n + 2.0)
+    series = float(ensemble.weights @ eps_n)
+    ch = math.cosh
+    k = ensemble.squeezing
+    closed = (15.0 * ch(2 * k) + 6.0 * ch(4 * k) + ch(6 * k) - 6.0) / (16.0 * ch(k) ** 4)
+    return series, closed
 
 
 def from_coefficients(n: int, raw) -> PureBipartiteState:
@@ -225,9 +242,13 @@ def _acstark_raw(n: int, times, n_c: int, n_d: int) -> tuple:
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{label} must be a non-negative integer, got {value!r}")
     times = np.asarray(times, dtype=float).reshape(-1, 1, 1)
-    bad = np.flatnonzero(~np.isfinite(times))
+    # The largest phase |2 t (k1 + k2 - N)| is 2 |t| N, rounded the same way.
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(2.0 * np.abs(times) * n))
     if bad.size:
-        raise ValueError(f"coupling time must be finite, got t={float(times.flat[bad[0]])}")
+        t = float(times.flat[bad[0]])
+        why = f"overflows the phase 2 t (k1 + k2 - N) at N={n}" if math.isfinite(t) else "must be finite"
+        raise ValueError(f"coupling time {why}, got t={t}")
     w = _half_binom_row(n)
     k = np.arange(n + 1)
     xi = 2.0 * times * (np.add.outer(k, k) - n) + math.pi / 4.0

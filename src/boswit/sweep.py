@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import states, witness
-from .oracle import pdc_epsilon_average
 
 __all__ = [
     "GridSpec",
@@ -80,6 +79,8 @@ class GridSpec:
             raise ValueError(f"grid needs at least one step, got {self.steps!r}")
         if not self.hi > self.lo:
             raise ValueError(f"grid range must satisfy hi > lo, got {self.lo!r}:{self.hi!r}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"grid span hi - lo must be finite, got {self.lo!r}:{self.hi!r}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps, endpoint=self.inclusive)
@@ -145,7 +146,7 @@ def _pdc_aggregates(squeezings: np.ndarray) -> list:
     aggregates = []
     for k in squeezings.tolist():
         ens = states.PdcEnsemble.build(k)
-        series, closed = pdc_epsilon_average(ens)
+        series, closed = states.pdc_epsilon_average(ens)
         aggregates.append(
             PdcAggregate(
                 squeezing=k,

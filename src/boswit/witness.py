@@ -19,14 +19,16 @@ Two routes lead to the identifiers:
   diagonal: the (d-1) x (d-1) diagonal-generator block
   pref W diag(p) W^T, with W = ``basis.diagonal_weights(d)``, plus the
   entries +-2 pref sqrt(p_i p_j), two per pair i < j.
-* ``correlation_tensor`` builds the whole O(d^4) tensor by contracting q
+* ``tensor_identifiers`` builds the whole O(d^4) tensor by contracting q
   through ``basis.project_traceless``; the (d^2, d, d) basis itself is
-  never built.  It is the independent reference for ``evaluate`` and the
-  input of the round trips and the product-overlap search.
+  never built.  It returns the tensor keys of ``evaluate_many`` and both
+  sides' Bloch lengths, and is the independent reference for them.
+  ``correlation_tensor`` hands one state's tensor to the round trips and
+  the product-overlap search.
 
 Both routes work on a (G, d, d) stack of coefficient matrices, so a sweep or
-a check passes a whole grid at once; ``evaluate``, ``correlation_tensor``
-and ``spin_tensor`` are their stacks of one, with the same bits per state.
+a check passes a whole grid at once; ``evaluate`` and ``correlation_tensor``
+are their stacks of one, with the same bits per state.
 """
 
 from __future__ import annotations
@@ -43,12 +45,8 @@ __all__ = [
     "CorrelationTensor",
     "CriterionReport",
     "correlation_tensor",
-    "tensor_norm",
-    "t_max",
-    "epsilon",
-    "bloch_vector",
-    "spin_tensor",
-    "spin_criterion",
+    "tensor_identifiers",
+    "spin_tensors",
     "evaluate",
     "evaluate_many",
 ]
@@ -146,34 +144,47 @@ def correlation_tensor(state: PureBipartiteState) -> CorrelationTensor:
     return CorrelationTensor(d=state.d, t=t, local_a=local_a, local_b=local_b)
 
 
-def tensor_norm(tensor: CorrelationTensor) -> float:
-    """Squared Frobenius norm of the joint block, locals excluded."""
-    return float(np.sum(tensor.t * tensor.t))
+def _bloch_lengths(coeffs: np.ndarray) -> tuple:
+    """Squared local Bloch lengths (side A, side B) of a (G, d, d)
+    coefficient stack, each (G,), from the locals alone.
 
-
-def t_max(tensor: CorrelationTensor) -> float:
-    """Largest singular value of the joint block."""
-    if not np.any(tensor.t):
-        raise ValueError("degenerate tensor: all joint correlations vanish")
-    return float(np.linalg.svd(tensor.t, compute_uv=False)[0])
-
-
-def epsilon(tensor: CorrelationTensor) -> float:
-    """Ratio of the squared tensor norm to the largest singular value."""
-    return tensor_norm(tensor) / t_max(tensor)
-
-
-def bloch_vector(tensor: CorrelationTensor, side: str) -> tuple:
-    """Local Bloch vector of one side and its squared length.
-
-    Scaled as (d-1) times the local tensor entries, the unique scale under
-    which pure product states have unit length.
+    The Bloch vector is (d-1) times the local tensor entries, the unique
+    scale under which pure product states have unit length.  A one-row
+    matmul gives each length the bits of its own ``vec @ vec``.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    local = tensor.local_a if side == "A" else tensor.local_b
-    vec = (tensor.d - 1.0) * local
-    return vec, float(vec @ vec)
+    d = coeffs.shape[-1]
+    vecs = [(d - 1.0) * local for local in _local_vectors(coeffs)]
+    return tuple((v[:, None, :] @ v[:, :, None])[:, 0, 0] for v in vecs)
+
+
+def _tensor_columns(tn: np.ndarray, tm: np.ndarray) -> dict:
+    """The tensor keys of ``evaluate_many`` from the squared norms and the
+    largest singular values."""
+    eps = tn / tm
+    return {
+        "t_norm": tn,
+        "t_max": tm,
+        "epsilon": eps,
+        "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
+        "entangled_by_eps": eps > 1.0 + _FLAG_TOL,
+    }
+
+
+def tensor_identifiers(coeffs: np.ndarray) -> dict:
+    """Tensor identifiers of a (G, d, d) stack of normalized coefficient
+    matrices, from each state's whole O(d^4) tensor: the reference for
+    ``evaluate_many``.
+
+    Returns one length-G array per key: ``evaluate_many``'s ``t_norm`` (the
+    squared Frobenius norm of the joint block, locals excluded), ``t_max``
+    (its largest singular value), ``epsilon`` and the two flags, plus the
+    Bloch lengths ``bloch_sq_a`` and ``bloch_sq_b`` of the two sides.  A
+    normalized pure state has t_norm >= 1, so t_max never vanishes.
+    """
+    t = _joint_blocks(_require_normalized(coeffs))
+    columns = _tensor_columns(np.sum(t * t, axis=(1, 2)), np.linalg.svd(t, compute_uv=False)[:, 0])
+    columns["bloch_sq_a"], columns["bloch_sq_b"] = _bloch_lengths(coeffs)
+    return columns
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -192,21 +203,17 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _spin_tensors(coeffs: np.ndarray) -> np.ndarray:
+def spin_tensors(coeffs: np.ndarray) -> np.ndarray:
     """Spin correlation matrices of a (G, d, d) stack of normalized
-    coefficient matrices, shape (G, 3, 3), scaled by 1/N^2, N = d-1."""
+    coefficient matrices, shape (G, 3, 3): the correlations of the
+    integer-spectrum spin components, scaled by 1/N^2 (N = d-1) so an
+    x-polarized product pair gives unit xx entry."""
+    _require_normalized(coeffs)
     n = coeffs.shape[-1] - 1
     mats = np.stack(schwinger_ops(n + 1, "schwinger"))
     left = coeffs.conj().transpose(0, 2, 1)[:, None] @ mats @ coeffs[:, None]
     raw = np.sum(left[:, :, None] * mats, axis=(-2, -1))
     return _real_guard(raw / float(n) ** 2)
-
-
-def spin_tensor(state: PureBipartiteState) -> np.ndarray:
-    """3x3 correlation matrix of the integer-spectrum spin components,
-    scaled by 1/N^2 so an x-polarized product pair gives unit xx entry."""
-    coeffs = _require_normalized(state.coeff[None])
-    return _spin_tensors(coeffs)[0]
 
 
 def _spin_identifiers(tps: np.ndarray) -> tuple:
@@ -216,15 +223,6 @@ def _spin_identifiers(tps: np.ndarray) -> tuple:
     top = np.linalg.svd(tps, compute_uv=False)[:, 0]
     ratio = np.divide(norm, top, out=np.zeros_like(norm), where=top > 0.0)
     return norm, top, ratio
-
-
-def spin_criterion(tprime: np.ndarray) -> tuple:
-    """Squared norm, largest singular value, and their ratio for the 3x3
-    spin correlation matrix."""
-    tprime = np.asarray(tprime, dtype=float)
-    if not np.any(tprime):
-        raise ValueError("degenerate tensor: all spin correlations vanish")
-    return tuple(float(col[0]) for col in _spin_identifiers(tprime[None]))
 
 
 def evaluate_many(coeffs: np.ndarray) -> dict:
@@ -259,18 +257,13 @@ def evaluate_many(coeffs: np.ndarray) -> dict:
     tm = np.linalg.eigvalsh(block)[:, -1]
     if not np.all(tm > 0.0):
         raise ValueError("degenerate tensor: all joint correlations vanish")
-    eps = tn / tm
     # Equals (d sum p^2 - 1)/(d - 1) but cannot come out negative.  Like the
     # traceless projection, centring on the mean ignores rounding in sum p,
     # so an equal-weight spectrum gives exactly zero.
     bloch = d / (d - 1.0) * np.sum((p - p.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    stn, stm, seps = _spin_identifiers(_spin_tensors(coeffs))
+    stn, stm, seps = _spin_identifiers(spin_tensors(coeffs))
     return {
-        "t_norm": tn,
-        "t_max": tm,
-        "epsilon": eps,
-        "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
-        "entangled_by_eps": eps > 1.0 + _FLAG_TOL,
+        **_tensor_columns(tn, tm),
         "bloch_sq": bloch,
         "entropy": _entropy_bits(p),
         "spin_t_norm": stn,

@@ -58,13 +58,10 @@ def test_criterion_01_claim_unit_t_max():
 
 def test_criterion_02_szsz_n1_closed_forms():
     t0 = time.perf_counter()
-    worst = 0.0
-    for tau in GRID128:
-        ten = witness.correlation_tensor(states.szsz_state(1, float(tau)))
-        worst = max(worst, abs(witness.tensor_norm(ten) - (1 + 2 * math.sin(2 * tau) ** 2)))
-        worst = max(worst, abs(witness.t_max(ten) - 1.0))
-    eps_peak = witness.epsilon(witness.correlation_tensor(states.szsz_state(1, math.pi / 4)))
-    worst = max(worst, abs(eps_peak - 3.0))
+    found = witness.tensor_identifiers(states.szsz_coefficients(1, [*GRID128, math.pi / 4]))
+    worst = float(np.max(np.abs(found["t_norm"][:-1] - (1 + 2 * np.sin(2 * GRID128) ** 2))))
+    worst = max(worst, float(np.max(np.abs(found["t_max"][:-1] - 1.0))))
+    worst = max(worst, abs(found["epsilon"][-1] - 3.0))
     ok = worst <= 1e-9
     dt = _report("C02 z-z N=1 closed forms", ok, t0, f"max err {worst:.2e}")
     assert ok
@@ -73,12 +70,10 @@ def test_criterion_02_szsz_n1_closed_forms():
 
 def test_criterion_03_szsz_n2_closed_forms():
     t0 = time.perf_counter()
-    worst = 0.0
-    for tau in GRID128:
-        c = 53 + 48 * math.cos(4 * tau) + 24 * math.cos(8 * tau) + 3 * math.cos(16 * tau)
-        ten = witness.correlation_tensor(states.szsz_state(2, float(tau)))
-        worst = max(worst, abs(witness.tensor_norm(ten) - (2 - c / 128)))
-        worst = max(worst, abs(witness.t_max(ten) - (0.5 + math.sqrt(c / 2) / 16)))
+    found = witness.tensor_identifiers(states.szsz_coefficients(2, GRID128))
+    c = 53 + 48 * np.cos(4 * GRID128) + 24 * np.cos(8 * GRID128) + 3 * np.cos(16 * GRID128)
+    worst = float(np.max(np.abs(found["t_norm"] - (2 - c / 128))))
+    worst = max(worst, float(np.max(np.abs(found["t_max"] - (0.5 + np.sqrt(c / 2) / 16)))))
     ok = worst <= 1e-9
     dt = _report("C03 z-z N=2 closed forms", ok, t0, f"max err {worst:.2e}")
     assert ok
@@ -90,9 +85,8 @@ def test_criterion_04_bloch_lengths():
     worst = 0.0
     unit_only_at_zero = True
     for n in range(1, 9):
-        for tau in GRID128:
-            ten = witness.correlation_tensor(states.szsz_state(n, float(tau)))
-            _, bloch_sq = witness.bloch_vector(ten, "A")
+        found = witness.tensor_identifiers(states.szsz_coefficients(n, GRID128))
+        for tau, bloch_sq in zip(GRID128, found["bloch_sq_a"].tolist()):
             worst = max(worst, abs(bloch_sq - states.bloch_length_closed(n, float(tau))))
             if tau == 0.0:
                 unit_only_at_zero &= abs(bloch_sq - 1.0) <= 1e-9
@@ -189,7 +183,7 @@ def test_criterion_07_pdc_average():
     ok = True
     for k in np.linspace(0.05, 1.5, 30):
         ens = states.PdcEnsemble.build(float(k))
-        series, closed = oracle.pdc_epsilon_average(ens)
+        series, closed = states.pdc_epsilon_average(ens)
         ok &= abs(series - closed) < 1e-8
         ok &= series > 1.0
         ok &= ens.n_trunc == 200 and 1.0 - float(ens.weights.sum()) < 1e-8
@@ -202,21 +196,14 @@ def test_criterion_08_spin_criterion_failure():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 3):
-        eps = [
-            witness.spin_criterion(witness.spin_tensor(states.szsz_state(n, float(tau))))[2]
-            for tau in GRID64[1:]
-        ]
+        eps = witness.evaluate_many(states.szsz_coefficients(n, GRID64[1:]))["spin_epsilon"]
         ok &= max(eps) > 1.0
     for n in range(4, 21):
-        eps = [
-            witness.spin_criterion(witness.spin_tensor(states.szsz_state(n, float(tau))))[2]
-            for tau in GRID64[1:]
-        ]
+        eps = witness.evaluate_many(states.szsz_coefficients(n, GRID64[1:]))["spin_epsilon"]
         ok &= max(eps) <= 1.0 + 1e-9
     worst = 0.0
     for n in range(1, 11):
-        for tau in GRID64:
-            tp = witness.spin_tensor(states.szsz_state(n, float(tau)))
+        for tau, tp in zip(GRID64, witness.spin_tensors(states.szsz_coefficients(n, GRID64))):
             expected = np.zeros((3, 3))
             expected[0, 0] = math.cos(2 * tau) ** (2 * n - 2)
             expected[1, 2] = expected[2, 1] = math.cos(2 * tau) ** (n - 1) * math.sin(2 * tau)
@@ -273,7 +260,7 @@ def test_criterion_10_oracle_suite():
         state = oracle.random_pure_state(n, rng)
         evaluated.append(state)
         ten = witness.correlation_tensor(state)
-        bound = witness.t_max(ten)
+        bound = witness.tensor_identifiers(state.coeff[None])["t_max"][0]
         for seed in (0, 1, 2):
             res = oracle.product_overlap_search(ten, iterations=6, seed=seed)
             ok &= res.best <= bound + 1e-8

@@ -16,8 +16,9 @@ def _per_job_search_bound(seed):
     count = 0
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        tensor = witness.correlation_tensor(oracle.random_pure_state(n, rng))
-        bound = witness.t_max(tensor)
+        state = oracle.random_pure_state(n, rng)
+        tensor = witness.correlation_tensor(state)
+        bound = witness.tensor_identifiers(state.coeff[None])["t_max"][0].item()
         for offset in range(3):
             res = oracle.product_overlap_search(tensor, iterations=6, seed=seed + offset)
             violation = max(violation, res.best - bound)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -94,6 +95,11 @@ def test_unread_sweep_inputs_exit_2(argv, capsys):
         (["sweep", "maxent", "--n", "-1"], "--n takes boson numbers or lo-hi ranges, got '-1'"),
         (["sweep", "maxent", "--n", "3-"], "--n takes boson numbers or lo-hi ranges, got '3-'"),
         (["sweep", "pdc", "--K", "0.5:3:3"], "truncation at N=200 leaves probability"),
+        (["sweep", "acstark", "--n", "2", "--grid", "0:1e308:2"], "coupling time overflows the phase 2 t (k1 + k2 - N) at N=2, got t=5e+307"),
+        (["sweep", "acstark", "--n", "2", "--t-over-n", "1e308"], "coupling time overflows the phase 2 t (k1 + k2 - N) at N=2, got t=5e+307"),
+        (["sweep", "szsz", "--grid=-1e308:1e308:3"], "grid span hi - lo must be finite"),
+        (["sweep", "szsz", "--grid", "0:1:1.5"], "grid steps must be an integer, got '1.5'"),
+        (["check", "appendix", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
     ],
 )
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
@@ -177,9 +183,11 @@ README_TABLES = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_data_lines() -> dict:
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = readme.read_text(encoding="utf-8").splitlines()
+    lines = README.read_text(encoding="utf-8").splitlines()
     argvs = [shlex.split(line, comments=True) for line in lines if line.startswith("boswit sweep ")]
     return {argv[argv.index("--out") + 1]: argv for argv in argvs if "--out" in argv}
 
@@ -201,3 +209,12 @@ def test_readme_data_line_writes_its_table(name, tmp_path):
     assert rows[0] == ",".join(CSV_COLUMNS)
     assert len(rows) == 1 + README_TABLES[name]
     assert all(len(row.split(",")) == len(CSV_COLUMNS) for row in rows[1:])
+
+
+# Every ```python block of the README, so no removed name stays in its examples.
+README_PYTHON = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+
+
+@pytest.mark.parametrize("block", README_PYTHON, ids=[f"block{i}" for i in range(len(README_PYTHON))])
+def test_readme_python_block_runs(block, capsys):
+    exec(compile(block, "README.md", "exec"), {})

@@ -15,7 +15,11 @@ from boswit.states import (
     maximally_entangled,
     szsz_state,
 )
-from boswit.witness import correlation_tensor, evaluate, t_max
+from boswit.witness import correlation_tensor, evaluate, tensor_identifiers
+
+
+def _t_max(state) -> float:
+    return tensor_identifiers(state.coeff[None])["t_max"][0].item()
 
 
 def _family_states(n):
@@ -86,7 +90,7 @@ def test_search_product_state_is_its_own_maximizer():
 def test_search_reaches_bell_bound():
     ten = correlation_tensor(maximally_entangled(1))
     res = oracle.product_overlap_search(ten, iterations=20, seed=5)
-    assert t_max(ten) == pytest.approx(1.0, abs=1e-12)
+    assert _t_max(maximally_entangled(1)) == pytest.approx(1.0, abs=1e-12)
     assert abs(res.best - 1.0) < 1e-3
     assert res.samples == 20
 
@@ -101,8 +105,9 @@ def test_search_never_exceeds_singular_bound():
     rng = np.random.default_rng(9)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        ten = correlation_tensor(oracle.random_pure_state(n, rng))
-        bound = t_max(ten)
+        state = oracle.random_pure_state(n, rng)
+        ten = correlation_tensor(state)
+        bound = _t_max(state)
         for seed in (0, 1, 2):
             res = oracle.product_overlap_search(ten, iterations=5, seed=seed)
             assert res.best <= bound + 1e-8
@@ -183,11 +188,12 @@ def _counting_eigh(monkeypatch):
 def test_search_matches_per_start_reference(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
-        ten = correlation_tensor(oracle.random_pure_state(n, rng))
+        state = oracle.random_pure_state(n, rng)
+        ten = correlation_tensor(state)
         for seed in (0, 1, 2):
             res = oracle.product_overlap_search(ten, iterations=6, seed=seed)
             assert abs(res.best - _per_start_search(ten, 6, seed)[0]) <= 1e-12
-            assert res.gap == t_max(ten) - res.best
+            assert res.gap == _t_max(state) - res.best
             assert res.samples == 6
 
 
@@ -347,22 +353,6 @@ def test_reference_closed_forms():
         oracle.reference_closed_forms("szsz_n3", 3, 0.1)
     with pytest.raises(ValueError, match="unsupported"):
         oracle.reference_closed_forms("szsz_n1", 2, 0.1)
-
-
-def test_pdc_average_matches_closed_form():
-    for squeezing in (0.05, 0.25, 0.5, 1.0, 1.5):
-        series, closed = oracle.pdc_epsilon_average(PdcEnsemble.build(squeezing))
-        assert abs(series - closed) < 1e-8
-        assert closed > 1.0
-
-
-def test_pdc_average_boundary_and_monotone():
-    series, closed = oracle.pdc_epsilon_average(PdcEnsemble.build(1e-6))
-    assert series == pytest.approx(1.0, abs=1e-8)
-    assert closed == pytest.approx(1.0, abs=1e-8)
-    grid = np.linspace(0.05, 1.5, 30)
-    values = [oracle.pdc_epsilon_average(PdcEnsemble.build(float(k)))[1] for k in grid]
-    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_pdc_average_truncation_guard():

