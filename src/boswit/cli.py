@@ -12,6 +12,7 @@ import sys
 from .checks import SELECTORS, run_checks
 from .sweep import (
     FAMILIES,
+    N_HARD_CAP,
     GridSpec,
     SweepConfig,
     default_grid,
@@ -36,6 +37,10 @@ def _parse_n_list(text: str) -> tuple:
             raise ValueError(f"--n takes boson numbers or lo-hi ranges, got {tok!r}") from None
         if hi < lo:
             raise ValueError(f"empty range {tok!r}")
+        # Checked before the range is built: an upper bound of 10 digits
+        # would take tens of GB.
+        if hi > N_HARD_CAP:
+            raise ValueError(f"--n boson numbers beyond {N_HARD_CAP} are not supported, got {tok!r}")
         out.extend(range(lo, hi + 1))
     return tuple(out)
 

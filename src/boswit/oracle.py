@@ -19,12 +19,10 @@ from .witness import CorrelationTensor
 
 __all__ = [
     "OracleReport",
-    "ProductSearchResult",
     "dense_correlation_tensor",
     "dense_spin_tensor",
     "reconstruct_density",
     "roundtrip_error",
-    "product_overlap_search",
     "product_overlap_searches",
     "reference_closed_forms",
     "pure_entanglement_oracle",
@@ -61,13 +59,6 @@ class OracleReport:
         if self.search_gap is not None:
             out["search_gap"] = self.search_gap
         return out
-
-
-@dataclass(frozen=True)
-class ProductSearchResult:
-    best: float
-    gap: float
-    samples: int
 
 
 def dense_correlation_tensor(state: PureBipartiteState, elements: np.ndarray | None = None) -> CorrelationTensor:
@@ -145,16 +136,14 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
     return (vecs.conj()[..., :, None] * vecs[..., None, :]).reshape(vecs.shape[:-1] + (1, d * d))
 
 
-def product_overlap_search(tensor: CorrelationTensor, iterations: int = 50, seed: int = 0) -> ProductSearchResult:
-    """Lower-bound the best product-tensor overlap against ``tensor``.
+def product_overlap_searches(jobs, iterations: int) -> tuple:
+    """Lower-bound the best product-tensor overlap of each ``(tensor, seed)``
+    job with ``iterations`` random starts.
 
-    The search of one job; see ``product_overlap_searches``.
-    """
-    return product_overlap_searches([(tensor, seed)], iterations)[0]
-
-
-def product_overlap_searches(jobs, iterations: int = 50) -> list:
-    """Run one product-overlap search per ``(tensor, seed)`` job, in order.
+    Returns two float arrays in job order: ``best``, the overlap reached,
+    and ``gap``, the tensor's largest singular value minus ``best``.  A job's
+    best can never exceed that singular value.  Each job's numbers do not
+    depend on the other jobs; one search is a list of one job.
 
     Random product starts are refined by alternating exact one-side updates.
     With the second side fixed at the unit vector v, whose Bloch vector is
@@ -187,8 +176,7 @@ def product_overlap_searches(jobs, iterations: int = 50) -> list:
     gains less than 1e-13, or after 60 steps, and keeps its value; its
     numbers do not depend on the other starts in the stack.  Each start
     draws u, then v, from its job's seeded stream (the drawn u is never
-    used), so a larger ``iterations`` extends the same sequence of starts.  A job's result can never exceed the largest
-    singular value of its tensor; the remaining gap is reported.
+    used), so a larger ``iterations`` extends the same sequence of starts.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
@@ -197,15 +185,14 @@ def product_overlap_searches(jobs, iterations: int = 50) -> list:
     for d in sorted({tensor.d for tensor, _ in jobs}):
         idx = [i for i, (tensor, _) in enumerate(jobs) if tensor.d == d]
         best[idx] = _lockstep_search([jobs[i] for i in idx], d, iterations)
-    results = []
-    for (tensor, _), top in zip(jobs, best.tolist()):
-        bound = float(np.linalg.svd(tensor.t, compute_uv=False)[0])
-        if top > bound + 1e-8:
-            raise RuntimeError(
-                f"product overlap {top!r} exceeded the singular-value bound {bound!r}"
-            )
-        results.append(ProductSearchResult(best=top, gap=bound - top, samples=iterations))
-    return results
+    bound = np.array([np.linalg.svd(tensor.t, compute_uv=False)[0] for tensor, _ in jobs])
+    over = np.flatnonzero(best > bound + 1e-8)
+    if over.size:
+        i = over[0]
+        raise RuntimeError(
+            f"product overlap {best[i].item()!r} exceeded the singular-value bound {bound[i].item()!r}"
+        )
+    return best, bound - best
 
 
 def _lockstep_search(jobs: list, d: int, iterations: int) -> np.ndarray:

@@ -35,11 +35,15 @@ __all__ = [
     "PDC_NOTE",
     "N_SOFT_CAP",
     "N_HARD_CAP",
+    "GRID_MAX_STEPS",
     "CSV_COLUMNS",
 ]
 
 N_SOFT_CAP = 20
 N_HARD_CAP = 40
+# Five times the largest grid of a recorded run (200,000 points).  GridSpec
+# checks it before ``points`` allocates anything.
+GRID_MAX_STEPS = 1_000_000
 
 CSV_COLUMNS = (
     "family",
@@ -77,6 +81,8 @@ class GridSpec:
                 raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)!r}")
         if self.steps < 1:
             raise ValueError(f"grid needs at least one step, got {self.steps!r}")
+        if self.steps > GRID_MAX_STEPS:
+            raise ValueError(f"grid steps must be at most {GRID_MAX_STEPS}, got {self.steps!r}")
         if not self.hi > self.lo:
             raise ValueError(f"grid range must satisfy hi > lo, got {self.lo!r}:{self.hi!r}")
         if not math.isfinite(self.hi - self.lo):

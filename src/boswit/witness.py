@@ -27,8 +27,9 @@ Two routes lead to the identifiers:
   the product-overlap search.
 
 Both routes work on a (G, d, d) stack of coefficient matrices, so a sweep or
-a check passes a whole grid at once; ``evaluate`` and ``correlation_tensor``
-are their stacks of one, with the same bits per state.
+a check passes a whole grid at once; one state is a stack of one
+(``state.coeff[None]``), with the same bits as in any larger stack.
+``correlation_tensor`` is the tensor route's stack of one.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ from .states import PureBipartiteState
 
 __all__ = [
     "CorrelationTensor",
-    "CriterionReport",
     "correlation_tensor",
     "tensor_identifiers",
     "spin_tensors",
-    "evaluate",
     "evaluate_many",
 ]
 
@@ -66,22 +65,6 @@ class CorrelationTensor:
     t: np.ndarray           # (d^2-1, d^2-1) real
     local_a: np.ndarray     # (d^2-1,) real, T_i0
     local_b: np.ndarray     # (d^2-1,) real, T_0j
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    """All identifiers evaluated on one state."""
-
-    t_norm: float
-    t_max: float
-    epsilon: float
-    entangled_by_norm: bool
-    entangled_by_eps: bool
-    bloch_sq: float
-    entropy: float
-    spin_t_norm: float
-    spin_t_max: float
-    spin_epsilon: float
 
 
 def _require_normalized(coeffs: np.ndarray) -> np.ndarray:
@@ -229,11 +212,17 @@ def evaluate_many(coeffs: np.ndarray) -> dict:
     """Evaluate every identifier on a (G, d, d) stack of coefficient
     matrices, from their Schmidt spectra.
 
-    Returns one length-G array per ``CriterionReport`` field, keyed by the
-    field name.  With Schmidt coefficients s and p = s^2, the tensor's
-    singular values are 2 pref s_i s_j (i < j, each twice) and the
-    eigenvalues of the positive semidefinite diagonal-generator block.  The
-    block's nonzero eigenvalues are those of
+    Returns one length-G array per key: ``t_norm`` (the squared norm of the
+    joint block), ``t_max`` (its largest singular value), ``epsilon`` (their
+    ratio), the flags ``entangled_by_norm`` and ``entangled_by_eps``,
+    ``bloch_sq``, ``entropy`` (in bits), and ``spin_t_norm``,
+    ``spin_t_max`` and ``spin_epsilon`` from ``spin_tensors``.  A single
+    state is the stack ``state.coeff[None]``.
+
+    With Schmidt coefficients s and p = s^2, the tensor's singular values
+    are 2 pref s_i s_j (i < j, each twice) and the eigenvalues of the
+    positive semidefinite diagonal-generator block.  The block's nonzero
+    eigenvalues are those of
     2 pref (diag(p) - sqrt(p) sqrt(p)^T / d), whose largest Rayleigh
     quotient on the span of the two top Schmidt levels is at least
     2 pref s_1 s_2, with equality only at p_1 = p_2; so the block's top
@@ -270,9 +259,3 @@ def evaluate_many(coeffs: np.ndarray) -> dict:
         "spin_t_max": stm,
         "spin_epsilon": seps,
     }
-
-
-def evaluate(state: PureBipartiteState) -> CriterionReport:
-    """Every identifier of one state: ``evaluate_many`` on a stack of one."""
-    columns = evaluate_many(state.coeff[None])
-    return CriterionReport(**{name: col[0].item() for name, col in columns.items()})

@@ -20,9 +20,9 @@ def _per_job_search_bound(seed):
         tensor = witness.correlation_tensor(state)
         bound = witness.tensor_identifiers(state.coeff[None])["t_max"][0].item()
         for offset in range(3):
-            res = oracle.product_overlap_search(tensor, iterations=6, seed=seed + offset)
-            violation = max(violation, res.best - bound)
-            worst_gap = max(worst_gap, res.gap)
+            (best,), (gap,) = oracle.product_overlap_searches([(tensor, seed + offset)], iterations=6)
+            violation = max(violation, best.item() - bound)
+            worst_gap = max(worst_gap, gap.item())
             count += 1
     return max(0.0, violation), worst_gap, count
 

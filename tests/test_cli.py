@@ -7,11 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from boswit import checks
+from boswit import checks, cli
 from boswit.cli import main
-from boswit.sweep import CSV_COLUMNS, N_HARD_CAP
+from boswit.sweep import CSV_COLUMNS, GRID_MAX_STEPS, N_HARD_CAP
 
 
 def test_sweep_szsz_to_file(tmp_path):
@@ -100,6 +101,8 @@ def test_unread_sweep_inputs_exit_2(argv, capsys):
         (["sweep", "szsz", "--grid=-1e308:1e308:3"], "grid span hi - lo must be finite"),
         (["sweep", "szsz", "--grid", "0:1:1.5"], "grid steps must be an integer, got '1.5'"),
         (["check", "appendix", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (["sweep", "szsz", "--n", "1", "--grid", "0:1:9999999999999"], "grid steps must be at most 1000000, got 9999999999999"),
+        (["sweep", "szsz", "--n", "1-3000000"], "--n boson numbers beyond 40 are not supported, got '1-3000000'"),
     ],
 )
 def test_bad_input_exits_2_naming_it(argv, named, capsys):
@@ -121,6 +124,26 @@ def test_oversized_check_dimension_exits_2_before_building(argv, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"at most {N_HARD_CAP + 1}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "szsz", "--n", "1", "--grid", "0:1:9999999999999"], f"at most {GRID_MAX_STEPS}"),
+        (["sweep", "pdc", "--K", f"0.1:1:{GRID_MAX_STEPS + 1}"], f"at most {GRID_MAX_STEPS}"),
+        (["sweep", "maxent", "--n", "1-3000000"], f"--n boson numbers beyond {N_HARD_CAP}"),
+    ],
+)
+def test_oversized_grid_or_n_range_exits_2_before_allocating(argv, named, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep allocated for an oversized input")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(cli, "run_family", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
 
 
 def test_run_checks_bounds_the_dimension():

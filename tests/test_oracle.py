@@ -15,7 +15,7 @@ from boswit.states import (
     maximally_entangled,
     szsz_state,
 )
-from boswit.witness import correlation_tensor, evaluate, tensor_identifiers
+from boswit.witness import correlation_tensor, evaluate_many, tensor_identifiers
 
 
 def _t_max(state) -> float:
@@ -82,23 +82,22 @@ def test_reconstruction_matches_einsum_contraction(d):
 def test_search_product_state_is_its_own_maximizer():
     rng = np.random.default_rng(2)
     ten = correlation_tensor(oracle.random_product_state(2, rng))
-    res = oracle.product_overlap_search(ten, iterations=8, seed=5)
-    assert res.best == pytest.approx(1.0, abs=1e-9)
-    assert abs(res.gap) < 1e-9
+    (best,), (gap,) = oracle.product_overlap_searches([(ten, 5)], iterations=8)
+    assert best == pytest.approx(1.0, abs=1e-9)
+    assert abs(gap) < 1e-9
 
 
 def test_search_reaches_bell_bound():
     ten = correlation_tensor(maximally_entangled(1))
-    res = oracle.product_overlap_search(ten, iterations=20, seed=5)
+    (best,), _ = oracle.product_overlap_searches([(ten, 5)], iterations=20)
     assert _t_max(maximally_entangled(1)) == pytest.approx(1.0, abs=1e-12)
-    assert abs(res.best - 1.0) < 1e-3
-    assert res.samples == 20
+    assert abs(best - 1.0) < 1e-3
 
 
 def test_search_reaches_qutrit_bound():
     ten = correlation_tensor(maximally_entangled(2))
-    res = oracle.product_overlap_search(ten, iterations=20, seed=5)
-    assert abs(res.best - 0.5) < 1e-6
+    (best,), _ = oracle.product_overlap_searches([(ten, 5)], iterations=20)
+    assert abs(best - 0.5) < 1e-6
 
 
 def test_search_never_exceeds_singular_bound():
@@ -108,19 +107,18 @@ def test_search_never_exceeds_singular_bound():
         state = oracle.random_pure_state(n, rng)
         ten = correlation_tensor(state)
         bound = _t_max(state)
-        for seed in (0, 1, 2):
-            res = oracle.product_overlap_search(ten, iterations=5, seed=seed)
-            assert res.best <= bound + 1e-8
+        best, _ = oracle.product_overlap_searches([(ten, seed) for seed in (0, 1, 2)], iterations=5)
+        assert np.all(best <= bound + 1e-8)
 
 
 def test_search_rejects_bad_iterations():
     ten = correlation_tensor(maximally_entangled(1))
-    with pytest.raises(ValueError):
-        oracle.product_overlap_search(ten, iterations=0)
+    with pytest.raises(ValueError, match="iterations must be >= 1, got -1"):
+        oracle.product_overlap_searches([(ten, 0)], iterations=-1)
 
 
 def _per_start_search(tensor, iterations, seed):
-    """Reference for ``product_overlap_search``: each start runs alone, with
+    """Reference for ``product_overlap_searches``: each start runs alone, with
     Bloch vectors from ``project_traceless`` and one ``eigh`` per update.
 
     The same extrapolated alternation: from its second step on, a start
@@ -191,10 +189,9 @@ def test_search_matches_per_start_reference(n):
         state = oracle.random_pure_state(n, rng)
         ten = correlation_tensor(state)
         for seed in (0, 1, 2):
-            res = oracle.product_overlap_search(ten, iterations=6, seed=seed)
-            assert abs(res.best - _per_start_search(ten, 6, seed)[0]) <= 1e-12
-            assert res.gap == _t_max(state) - res.best
-            assert res.samples == 6
+            (best,), (gap,) = oracle.product_overlap_searches([(ten, seed)], iterations=6)
+            assert abs(best - _per_start_search(ten, 6, seed)[0]) <= 1e-12
+            assert gap == _t_max(state) - best
 
 
 def test_search_stops_each_start_on_its_own(monkeypatch):
@@ -212,7 +209,7 @@ def test_search_stops_each_start_on_its_own(monkeypatch):
     for ten, steps, solves in cases:
         assert steps < 50 * 8
         solved.clear()
-        oracle.product_overlap_search(ten, iterations=8, seed=0)
+        oracle.product_overlap_searches([(ten, 0)], iterations=8)
         assert abs(sum(solved) - solves) <= 2 * 8
 
 
@@ -270,7 +267,7 @@ def test_search_solves_fewer_eigenproblems_than_plain_alternation(monkeypatch):
     solved = _counting_eigh(monkeypatch)
     plain_solves = 0
     for jobs, plain_best, plain_solved in cases:
-        best = np.array([res.best for res in oracle.product_overlap_searches(jobs, iterations=6)])
+        best, _ = oracle.product_overlap_searches(jobs, iterations=6)
         assert np.min(best - plain_best) >= -1e-12
         plain_solves += plain_solved
     assert sum(solved) <= 0.65 * plain_solves
@@ -288,12 +285,12 @@ def test_search_reaches_fixed_point_on_check_all_jobs():
         checks._basis_checks(range(2, 13), rng)
         jobs = checks._search_jobs(rng, seed)
         fixed_point, _ = _plain_alternation(jobs, 6, 400)
-        best = np.array([res.best for res in oracle.product_overlap_searches(jobs, iterations=6)])
+        best, _ = oracle.product_overlap_searches(jobs, iterations=6)
         assert np.max(np.abs(best - fixed_point)) <= 1e-10
 
 
-def _bits(res):
-    return res.best.hex(), res.gap.hex(), res.samples
+def _bits(best, gap):
+    return [(b.hex(), g.hex()) for b, g in zip(best.tolist(), gap.tolist())]
 
 
 @pytest.mark.parametrize("iterations", range(1, 9))
@@ -306,17 +303,17 @@ def test_searches_match_one_job_calls(iterations, monkeypatch):
     jobs = [(ten, seed) for seed, ten in enumerate(tensors)] + [(tensors[2], 0), (tensors[4], 9)]
     solved = _counting_eigh(monkeypatch)
     one_job = []
-    for ten, seed in jobs:
-        one_job.append(_bits(oracle.product_overlap_search(ten, iterations=iterations, seed=seed)))
+    for job in jobs:
+        one_job += _bits(*oracle.product_overlap_searches([job], iterations=iterations))
     per_job_matrices = sum(solved)
     solved.clear()
-    batched = oracle.product_overlap_searches(jobs, iterations=iterations)
-    assert [_bits(res) for res in batched] == one_job
+    assert _bits(*oracle.product_overlap_searches(jobs, iterations=iterations)) == one_job
     assert sum(solved) == per_job_matrices
 
 
 def test_searches_take_no_jobs_and_reject_bad_iterations():
-    assert oracle.product_overlap_searches([], iterations=6) == []
+    best, gap = oracle.product_overlap_searches([], iterations=6)
+    assert best.shape == gap.shape == (0,)
     ten = correlation_tensor(maximally_entangled(1))
     with pytest.raises(ValueError):
         oracle.product_overlap_searches([(ten, 0)], iterations=0)
@@ -329,7 +326,7 @@ def test_search_best_never_falls_with_more_starts():
     for n in (2, 3, 4):
         ten = correlation_tensor(oracle.random_pure_state(n, rng))
         for seed in (0, 3):
-            best = [oracle.product_overlap_search(ten, iterations=k, seed=seed).best for k in (1, 2, 6, 20)]
+            best = [oracle.product_overlap_searches([(ten, seed)], iterations=k)[0][0] for k in (1, 2, 6, 20)]
             assert best == sorted(best)
 
 
@@ -375,6 +372,5 @@ def test_criterion_positive_implies_schmidt_rank():
     n_c, n_d = default_photon_outcomes(4)
     states += [acstark_state(4, t, n_c, n_d).state for t in (0.1, 0.4)]
     for state in states:
-        rep = evaluate(state)
-        if rep.entangled_by_eps:
+        if evaluate_many(state.coeff[None])["entangled_by_eps"][0]:
             assert oracle.pure_entanglement_oracle(state)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -18,7 +20,7 @@ from boswit.sweep import (
     rows_to_json,
     run_family,
 )
-from boswit.witness import evaluate, evaluate_many
+from boswit.witness import evaluate_many
 
 SMALL_GRID = GridSpec(0.0, math.pi / 2, 8)
 
@@ -233,6 +235,48 @@ def test_default_csv_matches_pinned_digest(args, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[args]
 
 
+def _kernel_sets_skip_reason():
+    """Why OpenBLAS kernel sets cannot be forced here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy reports no BLAS build configuration"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = fh.read().split()
+    except OSError:
+        return "no /proc/cpuinfo to read the CPU flags from"
+    if "avx2" not in flags:
+        return "the CPU lacks AVX2, which the Haswell and Zen kernel sets need"
+    return None
+
+
+# Largest moves measured against SkylakeX kernels: the szsz spin columns of
+# near-zero rows move by up to 1.00007e-15 absolute, and six acstark fields
+# by one unit in the 12th significant digit, at most 1e-11 of the value.
+# Each bound leaves a margin over its measurement.
+KERNEL_BOUNDS = {"szsz": {"rel_tol": 0.0, "abs_tol": 2e-15}, "acstark": {"rel_tol": 1.1e-11, "abs_tol": 0.0}}
+KERNEL_SKIP = _kernel_sets_skip_reason()
+
+
+@pytest.mark.skipif(KERNEL_SKIP is not None, reason=str(KERNEL_SKIP))
+@pytest.mark.parametrize("family", KERNEL_BOUNDS)
+def test_default_sweep_fields_hold_across_blas_kernel_sets(family):
+    # The bytes of a sweep depend on the BLAS kernels the CPU gets; the
+    # digits that move must stay within the family's bound.
+    here = rows_to_csv(run_family(SweepConfig(family, sweep.default_n_values(family))).columns).splitlines()
+    argv = [sys.executable, "-m", "boswit.cli", "sweep", family]
+    for kernels in ("Haswell", "Zen", "Sandybridge"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_CORETYPE": kernels}
+        there = subprocess.run(argv, capture_output=True, env=env, check=True, text=True, timeout=60).stdout.splitlines()
+        assert len(there) == len(here), kernels
+        for line_here, line_there in zip(here, there):
+            for x, y in zip(line_here.split(","), line_there.split(","), strict=True):
+                assert x == y or math.isclose(float(x), float(y), **KERNEL_BOUNDS[family]), (kernels, x, y)
+
+
 def test_purity_identity_on_every_default_row():
     # For a pure state t_norm = (d + 1 - 2 bloch_sq) / (d - 1): both sides are
     # affine in the purity sum p^2.  The largest residual measured is 1.8e-15.
@@ -253,11 +297,11 @@ def test_stacks_across_a_chunk_boundary_match_single_states():
     members = [szsz_state(40, float(tau)) for tau in grid.points()]
     stacked = evaluate_many(np.stack([state.coeff for state in members]))
     for i, state in enumerate(members):
-        rep = evaluate(state)
+        rep = evaluate_many(state.coeff[None])
         for name, col in stacked.items():
-            assert repr(col[i].item()) == repr(getattr(rep, name)), (i, name)
+            assert repr(col[i].item()) == repr(rep[name][0].item()), (i, name)
             if name in cols:
-                assert repr(cols[name][i].item()) == repr(getattr(rep, name)), (i, name)
+                assert repr(cols[name][i].item()) == repr(rep[name][0].item()), (i, name)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")

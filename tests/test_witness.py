@@ -23,7 +23,6 @@ from boswit.sweep import N_HARD_CAP
 from boswit.witness import (
     _FLAG_TOL,
     correlation_tensor,
-    evaluate,
     evaluate_many,
     spin_tensors,
     tensor_identifiers,
@@ -41,9 +40,9 @@ def test_n1_tensor_nonzero_entries():
     assert np.max(np.abs(ten.t - expected)) < 1e-12
 
 
-def _identifiers(state) -> dict:
-    """``tensor_identifiers`` of one state, as floats."""
-    return {key: col[0].item() for key, col in tensor_identifiers(state.coeff[None]).items()}
+def _identifiers(state, route=tensor_identifiers) -> dict:
+    """``route`` on one state, a stack of one, as Python scalars."""
+    return {key: col[0].item() for key, col in route(state.coeff[None]).items()}
 
 
 def test_n1_closed_forms_on_grid():
@@ -61,10 +60,10 @@ def test_n2_closed_forms_on_grid():
 
 
 def test_n2_quarter_period_point():
-    rep = evaluate(szsz_state(2, math.pi / 4))
-    assert rep.t_norm == pytest.approx(1.75, abs=1e-12)
-    assert rep.t_max == pytest.approx(0.75, abs=1e-12)
-    assert rep.epsilon == pytest.approx(7.0 / 3.0, abs=1e-12)
+    rep = _identifiers(szsz_state(2, math.pi / 4), evaluate_many)
+    assert rep["t_norm"] == pytest.approx(1.75, abs=1e-12)
+    assert rep["t_max"] == pytest.approx(0.75, abs=1e-12)
+    assert rep["epsilon"] == pytest.approx(7.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -72,12 +71,12 @@ def test_maximally_entangled_identifiers(n):
     # Every singular value of this tensor equals 1/N, so the top one does too:
     # the pair entries tie with the diagonal block.
     rep = _assert_routes_agree(maximally_entangled(n))
-    assert rep.epsilon == pytest.approx(n + 2, abs=1e-9)
-    assert rep.t_max == pytest.approx(1.0 / n, abs=1e-12)
-    assert rep.t_norm == pytest.approx((n + 2.0) / n, abs=1e-12)
-    assert rep.entropy == pytest.approx(math.log2(n + 1), abs=1e-12)
-    assert rep.bloch_sq == pytest.approx(0.0, abs=1e-12)
-    assert rep.entangled_by_eps
+    assert rep["epsilon"] == pytest.approx(n + 2, abs=1e-9)
+    assert rep["t_max"] == pytest.approx(1.0 / n, abs=1e-12)
+    assert rep["t_norm"] == pytest.approx((n + 2.0) / n, abs=1e-12)
+    assert rep["entropy"] == pytest.approx(math.log2(n + 1), abs=1e-12)
+    assert rep["bloch_sq"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["entangled_by_eps"]
 
 
 def test_product_states_sit_on_the_boundary():
@@ -107,8 +106,8 @@ def test_bloch_matches_closed_formula():
 
 
 def test_entropy_examples():
-    assert evaluate(szsz_state(1, math.pi / 4)).entropy == pytest.approx(1.0, abs=1e-12)
-    assert evaluate(szsz_state(2, 0.0)).entropy == pytest.approx(0.0, abs=1e-12)
+    assert _identifiers(szsz_state(1, math.pi / 4), evaluate_many)["entropy"] == pytest.approx(1.0, abs=1e-12)
+    assert _identifiers(szsz_state(2, 0.0), evaluate_many)["entropy"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fast_matches_dense_reference():
@@ -228,8 +227,8 @@ def test_spin_criterion_family_diagonalization():
 
 
 def test_spin_criterion_boundaries():
-    rep = evaluate(szsz_state(4, 0.0))
-    assert (rep.spin_t_norm, rep.spin_t_max, rep.spin_epsilon) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0))
+    rep = _identifiers(szsz_state(4, 0.0), evaluate_many)
+    assert (rep["spin_t_norm"], rep["spin_t_max"], rep["spin_epsilon"]) == (pytest.approx(1.0), pytest.approx(1.0), pytest.approx(1.0))
     assert np.all(evaluate_many(szsz_coefficients(1, GRID[1:]))["spin_epsilon"] > 1.0)
 
 
@@ -241,9 +240,9 @@ def test_evaluate_handles_vanishing_spin_tensor():
     raw[2, 0] = -0.5
     state = from_coefficients(2, raw)
     assert not np.any(spin_tensors(state.coeff[None]))
-    rep = evaluate(state)
-    assert rep.spin_t_norm == 0.0 and rep.spin_epsilon == 0.0
-    assert rep.entangled_by_eps
+    rep = _identifiers(state, evaluate_many)
+    assert rep["spin_t_norm"] == 0.0 and rep["spin_epsilon"] == 0.0
+    assert rep["entangled_by_eps"]
 
 
 def test_unnormalized_state_rejected():
@@ -253,8 +252,6 @@ def test_unnormalized_state_rejected():
     for route in (evaluate_many, tensor_identifiers, spin_tensors):
         with pytest.raises(ValueError, match="normalized"):
             route(bad.coeff[None])
-    with pytest.raises(ValueError, match="normalized"):
-        evaluate(bad)
 
 
 @pytest.mark.parametrize("factor", [1.01, math.nan])
@@ -271,11 +268,11 @@ def test_report_consistency_relations():
     states = [szsz_state(n, t) for n in (1, 3, 5) for t in (0.2, 0.7, 1.4)]
     states += [oracle.random_pure_state(4, rng) for _ in range(10)]
     for state in states:
-        rep = evaluate(state)
-        assert rep.epsilon * rep.t_max == pytest.approx(rep.t_norm, abs=1e-9)
-        if rep.entangled_by_norm:
-            assert rep.entangled_by_eps
-        assert 0.0 <= rep.entropy <= math.log2(state.d) + 1e-12
+        rep = _identifiers(state, evaluate_many)
+        assert rep["epsilon"] * rep["t_max"] == pytest.approx(rep["t_norm"], abs=1e-9)
+        if rep["entangled_by_norm"]:
+            assert rep["entangled_by_eps"]
+        assert 0.0 <= rep["entropy"] <= math.log2(state.d) + 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -288,18 +285,18 @@ def test_tensor_entry_and_singular_bounds(seed):
     assert _identifiers(state)["t_max"] <= 1.0 + 1e-9
 
 
-# The Schmidt-spectrum kernel of ``evaluate`` against the O(d^4) tensor route.
+# The Schmidt-spectrum kernel of ``evaluate_many`` against the O(d^4) tensor route.
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def _assert_routes_agree(state, ref=None):
-    """``evaluate`` against ``tensor_identifiers``: every key at 1e-12
-    relative (1e-14 absolute near zero), each flag exactly; the one
-    ``bloch_sq`` stands for both sides' Bloch lengths."""
-    rep = evaluate(state)
+    """``evaluate_many`` against ``tensor_identifiers``, on one state: every
+    key at 1e-12 relative (1e-14 absolute near zero), each flag exactly; the
+    one ``bloch_sq`` stands for both sides' Bloch lengths."""
+    rep = _identifiers(state, evaluate_many)
     for key, want in (ref or _identifiers(state)).items():
-        got = getattr(rep, key if not key.startswith("bloch_sq") else "bloch_sq")
+        got = rep[key if not key.startswith("bloch_sq") else "bloch_sq"]
         if isinstance(want, bool):
             assert got == want, key
         else:
@@ -362,7 +359,7 @@ def test_routes_agree_on_near_degenerate_spectra(n, seed, log_delta, sign, tail)
     rep = _assert_routes_agree(_state_with_spectrum(p, rng))
     d = n + 1
     s = np.sort(np.sqrt(p))[::-1]
-    assert d / (d - 1.0) * s[0] * s[1] <= rep.t_max * (1.0 + 1e-14)
+    assert d / (d - 1.0) * s[0] * s[1] <= rep["t_max"] * (1.0 + 1e-14)
 
 
 def test_routes_agree_on_acstark_at_the_hard_cap():
@@ -379,11 +376,11 @@ def test_product_states_pinned_up_to_the_hard_cap():
         # it is the only weight, and the entropy is exactly zero.
         basis_product = szsz_state(n, 0.0)
         for state in (oracle.random_product_state(n, rng), basis_product):
-            rep = evaluate(state)
-            assert rep.t_norm == pytest.approx(1.0, abs=1e-12), n
-            assert rep.t_max == pytest.approx(1.0, abs=1e-12), n
-            assert not rep.entangled_by_norm and not rep.entangled_by_eps, n
-            assert rep.entropy == 0.0, n
+            rep = _identifiers(state, evaluate_many)
+            assert rep["t_norm"] == pytest.approx(1.0, abs=1e-12), n
+            assert rep["t_max"] == pytest.approx(1.0, abs=1e-12), n
+            assert not rep["entangled_by_norm"] and not rep["entangled_by_eps"], n
+            assert rep["entropy"] == 0.0, n
 
 
 @given(st.integers(min_value=1, max_value=12), SEEDS)
@@ -402,7 +399,7 @@ def test_maxent_epsilon_computed_over_the_pdc_truncation():
     # pdc_epsilon_average takes eps_N = N + 2 for every N up to its
     # truncation; compute each one and rebuild its series from them.
     ens = PdcEnsemble.build(0.8)
-    eps = np.array([1.0] + [evaluate(maximally_entangled(n)).epsilon for n in range(1, ens.n_trunc + 1)])
+    eps = np.array([1.0] + [_identifiers(maximally_entangled(n), evaluate_many)["epsilon"] for n in range(1, ens.n_trunc + 1)])
     np.testing.assert_allclose(eps[1:], np.arange(1, ens.n_trunc + 1) + 2.0, rtol=1e-12)
     series, _ = pdc_epsilon_average(ens)
     assert float(ens.weights @ eps) == pytest.approx(series, rel=1e-12)
